@@ -10,9 +10,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use paella_channels::{ChannelConfig, KernelUid};
+use paella_channels::{ChannelConfig, KernelUid, NotifKind, Notification};
 use paella_compiler::{
-    bootstrap_profile, instrumented, CompiledModel, DeviceOp, KernelDag, ModelProfile,
+    bootstrap_profile, instrumented, measure_uncontended, CompiledModel, DeviceOp, KernelDag,
+    ModelProfile,
 };
 use paella_gpu::{
     CopyDir, DeviceConfig, GpuOutput, GpuSim, InstrumentationSpec, KernelDesc, KernelLaunch,
@@ -408,6 +409,8 @@ pub struct Dispatcher {
     client_cpu_free_at: HashMap<ClientId, SimTime>,
     completions: Vec<JobCompletion>,
     gpu_out: Vec<GpuOutput>,
+    /// Scratch buffer for one notification run (reused across steps).
+    notif_run: Vec<Notification>,
     /// Jobs in flight per client (for deficit resets on idle).
     client_inflight: HashMap<ClientId, usize>,
     /// First-placement time per in-flight kernel (online profiling).
@@ -501,6 +504,7 @@ impl Dispatcher {
             client_cpu_free_at: HashMap::new(),
             completions: Vec::new(),
             gpu_out: Vec::new(),
+            notif_run: Vec::new(),
             client_inflight: HashMap::new(),
             kernel_started: HashMap::new(),
             notifq_outstanding: 0,
@@ -612,7 +616,7 @@ impl Dispatcher {
         };
         let kernel_descs: Vec<KernelDesc> = compiled.kernels().cloned().collect();
         let profile = bootstrap_profile(model);
-        let uncontended = paella_models_measure(&compiled, self.gpu.config());
+        let uncontended = measure_uncontended(&compiled, self.gpu.config());
         let id = ModelId(self.models.len() as u32);
         let left = vec![0.0; profile.kernels.len()];
         self.models.push(RegisteredModel {
@@ -858,9 +862,7 @@ impl Dispatcher {
             if tg.is_some_and(|a| te.is_none_or(|b| a <= b)) {
                 let mut buf = std::mem::take(&mut self.gpu_out);
                 self.gpu.advance_until(next, &mut buf);
-                for out in buf.drain(..) {
-                    self.handle_gpu_output(out);
-                }
+                self.handle_gpu_outputs(&mut buf);
                 self.gpu_out = buf;
             } else {
                 // invariant: this branch is taken only when next_event_time
@@ -1686,116 +1688,198 @@ impl Dispatcher {
 
     // -- device feedback ----------------------------------------------------
 
-    fn handle_gpu_output(&mut self, out: GpuOutput) {
-        match out {
-            GpuOutput::Notif { n, at } => {
-                // Each dispatcher thread polls its own notifQ (§5.2), so the
-                // processing cost lands on the owning job's shard.
-                let owner = self
-                    .kernel_to_job
-                    .get(&n.kernel)
-                    .and_then(|&(job, _)| self.jobs.get(&job))
-                    .map(|j| j.request.client)
-                    .unwrap_or(ClientId(0));
-                let done =
-                    self.charge_cpu_traced(owner, at, self.cfg.notif_cost, HostOpKind::Notif);
-                self.now = self.now.max(done);
-                let kuid = n.kernel;
-                self.tracer.record_with(done, || TraceEvent::NotifBatch {
-                    kernel: u64::from(kuid),
-                    sm: u32::from(n.sm_id),
-                    placement: matches!(n.kind, paella_channels::NotifKind::Placement),
-                    blocks: u32::from(n.group),
-                });
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("notifs_processed", 1);
+    /// Handles one device step's outputs in order. Consecutive notification
+    /// words that share (kernel, kind, visibility instant) form a run — the
+    /// device posts one per (kernel, wave) — and are handled as one step.
+    fn handle_gpu_outputs(&mut self, buf: &mut Vec<GpuOutput>) {
+        let mut outs = buf.drain(..).peekable();
+        while let Some(out) = outs.next() {
+            match out {
+                GpuOutput::Notif { n, at } => {
+                    let mut run = std::mem::take(&mut self.notif_run);
+                    run.push(n);
+                    while let Some(&GpuOutput::Notif { n: m, at: m_at }) = outs.peek() {
+                        if m.kernel != n.kernel || m.kind != n.kind || m_at != at {
+                            break;
+                        }
+                        run.push(m);
+                        outs.next();
+                    }
+                    self.handle_notif_run(&run, at);
+                    run.clear();
+                    self.notif_run = run;
                 }
-                if let Some(r) = self.notifq_reserved.get_mut(&kuid) {
-                    if *r > 0 {
-                        *r -= 1;
-                        debug_assert!(
-                            self.notifq_outstanding >= 1,
-                            "notifq_outstanding underflow: reservation held with zero outstanding"
-                        );
-                        self.notifq_outstanding -= 1;
+                GpuOutput::KernelCompleted { uid, at } => self.on_kernel_completed(uid, at),
+                GpuOutput::MemcpyCompleted { uid, at } => {
+                    if let Some((job, token)) = self.memcpy_to_job.remove(&uid) {
+                        self.complete_op(job, token, at);
                     }
                 }
-                self.occupancy.on_notification(n);
-                if matches!(n.kind, paella_channels::NotifKind::Placement) {
+            }
+        }
+    }
+
+    /// Handles a run of notification words for one kernel and kind, all
+    /// visible at `at`, with the same virtual-time effect as handling them
+    /// one by one (DESIGN §4b):
+    ///
+    /// * Every word is charged `notif_cost` to the same owner from the same
+    ///   ready instant, so one charge of `k × notif_cost` ends where `k`
+    ///   sequential charges would.
+    /// * The only word whose handling reads `self.now` is the one that makes
+    ///   the kernel fully placed under pipelined release. The run splits
+    ///   right after it, so the release sees that word's own done instant
+    ///   and later words are charged after whatever the release charged.
+    /// * With telemetry on, each word still records its own `HostOp` and
+    ///   `NotifBatch` at its own start and done instants.
+    fn handle_notif_run(&mut self, words: &[Notification], at: SimTime) {
+        let kuid = words[0].kernel;
+        let placement = matches!(words[0].kind, NotifKind::Placement);
+        let total = words.len() as u64;
+        // Each dispatcher thread polls its own notifQ (§5.2), so the
+        // processing cost lands on the owning job's shard.
+        let op = self.kernel_to_job.get(&kuid).copied();
+        let owner = op
+            .and_then(|(job, _)| self.jobs.get(&job))
+            .map(|j| j.request.client);
+        if let Some(m) = self.metrics.as_mut() {
+            m.inc("notifs_processed", total);
+            if owner.is_none() {
+                // A word whose kernel has no job (cancelled, or already
+                // retired) is charged to client 0's shard: counted so the
+                // fallback is never silent.
+                m.inc("notif_unowned_words", total);
+            }
+        }
+        let owner = owner.unwrap_or(ClientId(0));
+        if let Some(r) = self.notifq_reserved.get_mut(&kuid) {
+            // Each word consumes one reserved slot while any remain.
+            let consumed = (*r).min(total);
+            *r = r.saturating_sub(consumed);
+            debug_assert!(
+                self.notifq_outstanding >= consumed,
+                "notifq_outstanding underflow: reservation held with zero outstanding"
+            );
+            self.notifq_outstanding -= consumed;
+        }
+        // Pipelined release: successor activates on full placement, but only
+        // for kernels that will finish "soon" — otherwise a dependent
+        // successor would park at a hardware-queue head for the
+        // predecessor's whole runtime. Nothing in the run changes whether
+        // the op is still unreleased, so this is decided once.
+        let mut release = op.filter(|&(job, token)| {
+            placement
+                && self.cfg.release_on_placement
+                && self.jobs.get(&job).is_some_and(|j| !j.released(token))
+                && self.kernel_expected_runtime(job, token) <= self.cfg.pipeline_window
+        });
+        let mut rest = words;
+        let mut first_segment = true;
+        while !rest.is_empty() {
+            let folded = self.occupancy.on_notification_run(rest, release.is_some());
+            let (segment, tail) = rest.split_at(folded);
+            rest = tail;
+            let cost = self.cfg.notif_cost * segment.len() as u64;
+            let done = self.charge_cpu(owner, at, cost);
+            self.now = self.now.max(done);
+            let (core, start) = self.last_charge;
+            if first_segment {
+                // The placement side effects are idempotent, so only the
+                // run's first word has any; they follow that word's trace
+                // events, as in word-by-word handling.
+                self.trace_notif_words(&segment[..1], core, start);
+                if placement {
                     // First placement starts the online-profiling clock.
                     if self.cfg.online_profiling {
                         self.kernel_started.entry(kuid).or_insert(at);
                     }
                     // Pinned-output wakeup: the job's final kernel started.
-                    if let Some(&(job, token)) = self.kernel_to_job.get(&kuid) {
+                    if let Some((job, token)) = op {
                         if self.is_last_op(job, token) {
                             self.fire_almost_finished(job, at);
                         }
                     }
                 }
-                // Pipelined release: successor activates on full placement,
-                // but only for kernels that will finish "soon" — otherwise a
-                // dependent successor would park at a hardware-queue head
-                // for the predecessor's whole runtime.
-                if self.cfg.release_on_placement
-                    && matches!(n.kind, paella_channels::NotifKind::Placement)
-                    && self.occupancy.fully_placed(kuid)
-                {
-                    if let Some(&(job, token)) = self.kernel_to_job.get(&kuid) {
-                        if self.kernel_expected_runtime(job, token) <= self.cfg.pipeline_window {
-                            self.release_op(job, token);
-                        }
-                    }
+                let next = start + self.cfg.notif_cost;
+                self.trace_notif_words(&segment[1..], core, next);
+                first_segment = false;
+            } else {
+                self.trace_notif_words(segment, core, start);
+            }
+            if let Some((job, token)) = release {
+                if self.occupancy.fully_placed(kuid) {
+                    release = None;
+                    self.release_op(job, token);
                 }
             }
-            GpuOutput::KernelCompleted { uid, at } => {
-                if let Some(rest) = self.notifq_reserved.remove(&uid) {
-                    debug_assert!(
-                        self.notifq_outstanding >= rest,
-                        "notifq_outstanding underflow: releasing more than reserved"
-                    );
-                    self.notifq_outstanding -= rest;
-                }
-                // Reconcile the occupancy mirror: if any of this kernel's
-                // notifications were lost, its leaked accounting would
-                // otherwise wedge the dispatch gate.
-                if self.cfg.instrument {
-                    self.occupancy.on_kernel_completed(uid);
-                }
-                if let Some((job, token)) = self.kernel_to_job.remove(&uid) {
-                    // Injected kernel fault (DESIGN §11): the execution's
-                    // results are discarded and the op is retried with
-                    // backoff. Rolled per completion in DES order, so same
-                    // seed ⇒ identical fault sets.
-                    if self.cfg.kernel_fault_rate > 0.0
-                        && self.fault_rng.chance(self.cfg.kernel_fault_rate)
-                    {
-                        self.kernel_started.remove(&uid);
-                        self.on_kernel_fault(job, token, uid, at);
-                        return;
-                    }
-                    // Online profile refinement from the observed span.
-                    if let Some(started) = self.kernel_started.remove(&uid) {
-                        let j = &self.jobs[&job];
-                        if let OpKind::Kernel(loc) = j.ops[token as usize] {
-                            let model = j.request.model.0 as usize;
-                            let old_us = self.models[model].profile.kernels[loc].time_us.mean();
-                            self.models[model]
-                                .profile
-                                .observe_kernel(loc, at.saturating_since(started));
-                            // The refined mean reprices everyone's still-owed
-                            // executions of this kernel in the load aggregate.
-                            self.load_on_profile_refined(model, loc, old_us);
-                        }
-                    }
-                    self.complete_op(job, token, at);
+        }
+    }
+
+    /// Records one `HostOp` and one `NotifBatch` per word, for words charged
+    /// back to back on `core` from `start`.
+    fn trace_notif_words(&mut self, words: &[Notification], core: u32, start: SimTime) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let cost = self.cfg.notif_cost;
+        let mut start = start;
+        for n in words {
+            let done = start + cost;
+            self.tracer.record_with(done, || TraceEvent::HostOp {
+                kind: HostOpKind::Notif,
+                core,
+                start,
+            });
+            self.tracer.record_with(done, || TraceEvent::NotifBatch {
+                kernel: u64::from(n.kernel),
+                sm: u32::from(n.sm_id),
+                placement: matches!(n.kind, NotifKind::Placement),
+                blocks: u32::from(n.group),
+            });
+            start = done;
+        }
+    }
+
+    /// The host observed a kernel finish through the CUDA runtime.
+    fn on_kernel_completed(&mut self, uid: KernelUid, at: SimTime) {
+        if let Some(rest) = self.notifq_reserved.remove(&uid) {
+            debug_assert!(
+                self.notifq_outstanding >= rest,
+                "notifq_outstanding underflow: releasing more than reserved"
+            );
+            self.notifq_outstanding -= rest;
+        }
+        // Reconcile the occupancy mirror: if any of this kernel's
+        // notifications were lost, its leaked accounting would otherwise
+        // wedge the dispatch gate.
+        if self.cfg.instrument {
+            self.occupancy.on_kernel_completed(uid);
+        }
+        if let Some((job, token)) = self.kernel_to_job.remove(&uid) {
+            // Injected kernel fault (DESIGN §11): the execution's results are
+            // discarded and the op is retried with backoff. Rolled per
+            // completion in DES order, so same seed ⇒ identical fault sets.
+            if self.cfg.kernel_fault_rate > 0.0 && self.fault_rng.chance(self.cfg.kernel_fault_rate)
+            {
+                self.kernel_started.remove(&uid);
+                self.on_kernel_fault(job, token, uid, at);
+                return;
+            }
+            // Online profile refinement from the observed span.
+            if let Some(started) = self.kernel_started.remove(&uid) {
+                let j = &self.jobs[&job];
+                if let OpKind::Kernel(loc) = j.ops[token as usize] {
+                    let model = j.request.model.0 as usize;
+                    let old_us = self.models[model].profile.kernels[loc].time_us.mean();
+                    self.models[model]
+                        .profile
+                        .observe_kernel(loc, at.saturating_since(started));
+                    // The refined mean reprices everyone's still-owed
+                    // executions of this kernel in the load aggregate.
+                    self.load_on_profile_refined(model, loc, old_us);
                 }
             }
-            GpuOutput::MemcpyCompleted { uid, at } => {
-                if let Some((job, token)) = self.memcpy_to_job.remove(&uid) {
-                    self.complete_op(job, token, at);
-                }
-            }
+            self.complete_op(job, token, at);
         }
     }
 
@@ -2325,59 +2409,4 @@ impl ReleasedSet {
     pub fn is_empty(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
     }
-}
-
-/// Measures the uncontended device time of a compiled model — local copy of
-/// `paella_models::measure_uncontended` to avoid a dependency cycle.
-fn paella_models_measure(model: &CompiledModel, device: &DeviceConfig) -> SimDuration {
-    let mut gpu = GpuSim::new(device.clone(), 0xCA11B);
-    let stream = StreamId(1);
-    let mut kuid = 0u32;
-    let mut muid = 0u64;
-    for op in &model.ops {
-        match op {
-            DeviceOp::InputCopy { bytes } => {
-                muid += 1;
-                gpu.enqueue_memcpy(
-                    SimTime::ZERO,
-                    MemcpyOp {
-                        uid: MemcpyUid(muid),
-                        stream,
-                        bytes: *bytes,
-                        dir: CopyDir::HostToDevice,
-                    },
-                );
-            }
-            DeviceOp::Kernel(k) => {
-                kuid += 1;
-                gpu.launch_kernel(
-                    SimTime::ZERO,
-                    KernelLaunch {
-                        uid: kuid,
-                        stream,
-                        desc: k.clone(),
-                    },
-                );
-            }
-            DeviceOp::OutputCopy { bytes } => {
-                muid += 1;
-                gpu.enqueue_memcpy(
-                    SimTime::ZERO,
-                    MemcpyOp {
-                        uid: MemcpyUid(muid),
-                        stream,
-                        bytes: *bytes,
-                        dir: CopyDir::DeviceToHost,
-                    },
-                );
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut last = SimTime::ZERO;
-    while let Some(t) = gpu.next_time() {
-        gpu.advance_until(t, &mut out);
-        last = t;
-    }
-    last - SimTime::ZERO
 }

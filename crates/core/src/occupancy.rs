@@ -15,6 +15,7 @@ use std::collections::HashMap;
 
 use paella_channels::{KernelUid, NotifKind, Notification};
 use paella_gpu::{BlockFootprint, SmLimits, SmUsage};
+use paella_sim::IdBuildHasher;
 
 /// Tracker state for one launched kernel.
 #[derive(Clone, Debug)]
@@ -23,9 +24,10 @@ struct TrackedKernel {
     total_blocks: u32,
     placed: u32,
     completed: u32,
-    /// Blocks placed per SM (needed to release the right SM on completion
-    /// when notifications arrive out of order across SMs).
-    per_sm: HashMap<u8, u32>,
+    /// Blocks placed and not yet completed, per SM (needed to release the
+    /// right SM on completion when notifications arrive out of order across
+    /// SMs). Dense: one slot per SM of the device.
+    per_sm: Vec<u32>,
 }
 
 /// The occupancy tracker.
@@ -33,7 +35,7 @@ struct TrackedKernel {
 pub struct OccupancyTracker {
     limits: SmLimits,
     sms: Vec<SmUsage>,
-    kernels: HashMap<KernelUid, TrackedKernel>,
+    kernels: HashMap<KernelUid, TrackedKernel, IdBuildHasher>,
     /// Blocks launched but with no placement notification yet — the
     /// "hardware queue depth" proxy the B-slack controls.
     unplaced_blocks: u64,
@@ -47,7 +49,7 @@ impl OccupancyTracker {
         OccupancyTracker {
             limits,
             sms: vec![SmUsage::default(); num_sms as usize],
-            kernels: HashMap::new(),
+            kernels: HashMap::default(),
             unplaced_blocks: 0,
             resident_blocks: 0,
         }
@@ -66,7 +68,7 @@ impl OccupancyTracker {
                 total_blocks: blocks,
                 placed: 0,
                 completed: 0,
-                per_sm: HashMap::new(),
+                per_sm: vec![0; self.sms.len()],
             },
         );
         assert!(prev.is_none(), "kernel {uid} launched twice");
@@ -81,41 +83,91 @@ impl OccupancyTracker {
     ///
     /// [`on_kernel_completed`]: Self::on_kernel_completed
     pub fn on_notification(&mut self, n: Notification) {
-        let Some(k) = self.kernels.get_mut(&n.kernel) else {
-            return;
+        self.on_notification_run(std::slice::from_ref(&n), false);
+    }
+
+    /// Folds a run of words that share one kernel and one kind, in order,
+    /// with exactly the per-word clamping of [`on_notification`]: the result
+    /// equals folding the words one at a time. The kernel is looked up once
+    /// per run instead of once per word.
+    ///
+    /// With `stop_when_placed`, folding stops right after the first word
+    /// after which [`fully_placed`] holds for the run's kernel (for an
+    /// untracked kernel, that is the first word), so the caller can act on
+    /// the placement at that word's instant. Returns how many words were
+    /// folded; without `stop_when_placed`, always `words.len()`.
+    ///
+    /// [`on_notification`]: Self::on_notification
+    /// [`fully_placed`]: Self::fully_placed
+    pub fn on_notification_run(&mut self, words: &[Notification], stop_when_placed: bool) -> usize {
+        let Some(first) = words.first() else {
+            return 0;
         };
-        match n.kind {
+        debug_assert!(
+            words
+                .iter()
+                .all(|w| w.kernel == first.kernel && w.kind == first.kind),
+            "a run shares one kernel and one kind"
+        );
+        let uid = first.kernel;
+        let Some(k) = self.kernels.get_mut(&uid) else {
+            return if stop_when_placed { 1 } else { words.len() };
+        };
+        let mut folded = 0;
+        let mut retired = false;
+        match first.kind {
             NotifKind::Placement => {
-                let g = u32::from(n.group)
-                    .min(k.total_blocks - k.placed)
-                    .min(self.sms[n.sm_id as usize].fit_count(&k.footprint, &self.limits));
-                if g == 0 {
-                    return;
+                for n in words {
+                    folded += 1;
+                    let sm = n.sm_id as usize;
+                    let g = u32::from(n.group)
+                        .min(k.total_blocks - k.placed)
+                        .min(self.sms[sm].fit_count(&k.footprint, &self.limits));
+                    if g > 0 {
+                        k.placed += g;
+                        k.per_sm[sm] += g;
+                        self.sms[sm].allocate(&k.footprint, g, &self.limits);
+                        self.unplaced_blocks = self.unplaced_blocks.saturating_sub(u64::from(g));
+                        self.resident_blocks += u64::from(g);
+                    }
+                    if stop_when_placed && k.placed == k.total_blocks {
+                        break;
+                    }
                 }
-                k.placed += g;
-                *k.per_sm.entry(n.sm_id).or_insert(0) += g;
-                self.sms[n.sm_id as usize].allocate(&k.footprint, g, &self.limits);
-                self.unplaced_blocks = self.unplaced_blocks.saturating_sub(u64::from(g));
-                self.resident_blocks += u64::from(g);
             }
             NotifKind::Completion => {
-                let on_sm = k.per_sm.entry(n.sm_id).or_insert(0);
-                let g = u32::from(n.group)
-                    .min(k.total_blocks - k.completed)
-                    .min(*on_sm);
-                if g == 0 {
-                    return;
-                }
-                k.completed += g;
-                debug_assert!(*on_sm >= g, "per-SM block count underflow on completion");
-                *on_sm -= g;
-                self.sms[n.sm_id as usize].release(&k.footprint, g);
-                self.resident_blocks = self.resident_blocks.saturating_sub(u64::from(g));
-                if k.completed == k.total_blocks {
-                    self.kernels.remove(&n.kernel);
+                for n in words {
+                    folded += 1;
+                    let sm = n.sm_id as usize;
+                    let on_sm = k.per_sm.get(sm).copied().unwrap_or(0);
+                    let g = u32::from(n.group)
+                        .min(k.total_blocks - k.completed)
+                        .min(on_sm);
+                    if g > 0 {
+                        k.completed += g;
+                        k.per_sm[sm] -= g;
+                        self.sms[sm].release(&k.footprint, g);
+                        self.resident_blocks = self.resident_blocks.saturating_sub(u64::from(g));
+                        if k.completed == k.total_blocks {
+                            retired = true;
+                            break;
+                        }
+                    }
+                    if stop_when_placed && k.placed == k.total_blocks {
+                        break;
+                    }
                 }
             }
         }
+        if retired {
+            // The rest of the run names a kernel no longer tracked: ignored,
+            // and reported fully placed (so a stopping fold stops here).
+            self.kernels.remove(&uid);
+            if !stop_when_placed {
+                folded = words.len();
+            }
+        }
+        folded
     }
 
     /// Whether all blocks of `uid` have been placed (used to release the
@@ -170,9 +222,9 @@ impl OccupancyTracker {
         self.unplaced_blocks = self.unplaced_blocks.saturating_sub(never_placed);
         // Blocks placed but whose completion word was lost still occupy SMs
         // in the mirror.
-        for (sm, blocks) in k.per_sm {
+        for (sm, &blocks) in k.per_sm.iter().enumerate() {
             if blocks > 0 {
-                self.sms[sm as usize].release(&k.footprint, blocks);
+                self.sms[sm].release(&k.footprint, blocks);
                 self.resident_blocks = self.resident_blocks.saturating_sub(u64::from(blocks));
             }
         }

@@ -598,6 +598,46 @@ fn deadline_cancels_stragglers_and_reclaims_resources() {
     assert_eq!(sig.outstanding(), 0, "load signal drains to zero");
 }
 
+/// The deadline test's burst: 24 device-filling jobs at once, with the
+/// given config and telemetry on.
+fn deadline_burst(cfg: DispatcherConfig) -> Dispatcher {
+    let mut d = paella_with(cfg, 42);
+    d.enable_telemetry();
+    let model = d.register_model(&synthetic::uniform_job(
+        "dl",
+        8,
+        SimDuration::from_micros(300),
+        320,
+    ));
+    for i in 0..24u32 {
+        d.submit(InferenceRequest {
+            client: ClientId(i % 4),
+            model,
+            submitted_at: SimTime::ZERO,
+        });
+    }
+    d.run_to_idle();
+    d
+}
+
+#[test]
+fn notification_words_without_an_owner_are_counted() {
+    let counter =
+        |d: &Dispatcher, name: &str| d.metrics_snapshot().expect("telemetry on").counter(name);
+    // Steady state: every word belongs to a live job.
+    let mut steady = deadline_burst(DispatcherConfig::paella());
+    assert_eq!(steady.drain_completions().len(), 24);
+    assert!(counter(&steady, "notifs_processed") > 0);
+    assert_eq!(counter(&steady, "notif_unowned_words"), 0);
+    // Cancellation drops jobs whose kernels still run on the device; their
+    // late words fall back to client 0's shard, and are counted.
+    let mut cfg = DispatcherConfig::paella();
+    cfg.deadline_factor = Some(1.5);
+    cfg.deadline_floor = SimDuration::from_micros(100);
+    let cancelled = deadline_burst(cfg);
+    assert!(counter(&cancelled, "notif_unowned_words") > 0);
+}
+
 #[test]
 fn shed_watermark_bounds_admission() {
     let mut cfg = DispatcherConfig::paella();

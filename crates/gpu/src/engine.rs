@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 
 use paella_channels::{KernelUid, Notification};
 use paella_sim::rng::Xoshiro256pp;
-use paella_sim::{EventQueue, SimDuration, SimTime};
+use paella_sim::{EventQueue, IdBuildHasher, SimDuration, SimTime};
 use paella_telemetry::{TraceEvent, TraceLog, Tracer};
 
 use crate::config::DeviceConfig;
@@ -164,8 +164,8 @@ pub struct GpuSim {
     sms: Vec<SmUsage>,
     /// Hardware queues of kernels, in arrival order.
     queues: Vec<VecDeque<KernelUid>>,
-    kernels: HashMap<KernelUid, KernelState>,
-    streams: HashMap<StreamId, StreamState>,
+    kernels: HashMap<KernelUid, KernelState, IdBuildHasher>,
+    streams: HashMap<StreamId, StreamState, IdBuildHasher>,
     copy_engines: Vec<CopyEngine>,
     outputs: Vec<GpuOutput>,
     rr_sm: usize,
@@ -189,11 +189,11 @@ pub struct GpuSim {
     /// Copies submitted but not yet at the front of their stream.
     pending_copies: Vec<(MemcpyOp, SimTime)>,
     /// Stream of each copy currently queued on an engine.
-    copy_streams: HashMap<MemcpyUid, StreamId>,
+    copy_streams: HashMap<MemcpyUid, StreamId, IdBuildHasher>,
     /// Last hardware-queue arrival time per stream: same-stream launches
     /// reach the queue in issue order even if host timestamps interleave
     /// (the CUDA runtime serializes per-stream submission).
-    last_arrival: HashMap<StreamId, SimTime>,
+    last_arrival: HashMap<StreamId, SimTime, IdBuildHasher>,
 }
 
 impl GpuSim {
@@ -209,8 +209,8 @@ impl GpuSim {
             events: EventQueue::new(),
             sms: vec![SmUsage::default(); num_sms],
             queues: vec![VecDeque::new(); num_queues],
-            kernels: HashMap::new(),
-            streams: HashMap::new(),
+            kernels: HashMap::default(),
+            streams: HashMap::default(),
             copy_engines: (0..engines)
                 .map(|_| CopyEngine {
                     queue: VecDeque::new(),
@@ -230,8 +230,8 @@ impl GpuSim {
             tracer: Tracer::disabled(),
             rr_queue: 0,
             pending_copies: Vec::new(),
-            last_arrival: HashMap::new(),
-            copy_streams: HashMap::new(),
+            last_arrival: HashMap::default(),
+            copy_streams: HashMap::default(),
         }
     }
 

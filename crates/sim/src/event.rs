@@ -6,8 +6,9 @@
 //! they were scheduled.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
+use crate::hash::IdBuildHasher;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a scheduled event, usable for cancellation.
@@ -69,10 +70,10 @@ pub struct EventQueue<E> {
     /// [`compact`](Self::compact) once the tombstones outnumber a fraction
     /// of the heap — without compaction a schedule/cancel-heavy workload
     /// (timeouts that almost never fire) grows both sets without bound.
-    cancelled: std::collections::HashSet<EventId>,
+    cancelled: HashSet<EventId, IdBuildHasher>,
     /// Ids currently in the heap and not cancelled; makes `cancel` O(1)
     /// instead of an O(heap) membership scan.
-    pending: std::collections::HashSet<EventId>,
+    pending: HashSet<EventId, IdBuildHasher>,
     /// Total cancellations accepted (diagnostics).
     cancelled_total: u64,
     /// Total eager compaction passes run (diagnostics).
@@ -97,8 +98,8 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             next_seq: 0,
             next_id: 0,
-            cancelled: std::collections::HashSet::new(),
-            pending: std::collections::HashSet::new(),
+            cancelled: HashSet::default(),
+            pending: HashSet::default(),
             cancelled_total: 0,
             compactions: 0,
         }

@@ -9,6 +9,8 @@
 //!   [`SimDuration`]).
 //! * [`event`] — a deterministic event queue with stable tie-breaking
 //!   ([`EventQueue`]).
+//! * [`hash`] — a fixed, seedless hasher for integer-keyed hot maps
+//!   ([`IdBuildHasher`]).
 //! * [`fault`] — seeded fault schedules ([`FaultPlan`]) for deterministic
 //!   fault-injection runs.
 //! * [`rng`] — seedable, version-stable PRNGs ([`Xoshiro256pp`]).
@@ -23,6 +25,7 @@
 pub mod dist;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -30,6 +33,7 @@ pub mod time;
 pub use dist::{Constant, Distribution, Exponential, Geometric, LogNormal, Normal, Uniform};
 pub use event::{EventId, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
+pub use hash::{IdBuildHasher, IdHasher};
 pub use rng::{SplitMix64, Xoshiro256pp};
 pub use stats::{BusyTracker, Histogram, OnlineStats, Percentiles};
 pub use time::{SimDuration, SimTime};

@@ -2,7 +2,7 @@
 //!
 //! Each scenario runs twice through the public constructors: once untraced
 //! and once with telemetry on. The untraced run yields an FNV-1a digest over
-//! every completion (request index, client-visible instant) and failure, plus
+//! every completion (job id, client-visible instant) and failure, plus
 //! the dispatcher's total CPU busy time. The traced run must reproduce the
 //! same digest and also yields `notifs_processed` and a digest of the whole
 //! merged trace. All four numbers are committed, so a host-side refactor of

@@ -82,12 +82,12 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "expect() whose invariant: justification was deleted",
         },
         GraftMutant {
-            id: "r4-waitlist-sleep",
+            id: "r4-dag-release-sleep",
             rule: "no-thread-sleep",
-            file: "crates/core/src/waitlist.rs",
-            find: "q.remove(pos);",
-            replace: "q.remove(pos);\n        std::thread::sleep(std::time::Duration::from_nanos(1));",
-            description: "thread::sleep grafted into library code",
+            file: "crates/compiler/src/dag.rs",
+            find: "activated.push(s);",
+            replace: "activated.push(s);\n                std::thread::sleep(std::time::Duration::from_nanos(1));",
+            description: "thread::sleep grafted into the dependency-release path",
         },
         GraftMutant {
             id: "r4-spsc-sleep",

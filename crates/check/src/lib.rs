@@ -15,8 +15,9 @@
 //!    itself has teeth.
 //! 2. **Bookkeeping invariants of the dispatcher** — the [`oracle`] module
 //!    provides brute-force reference implementations of CUDA stream
-//!    semantics and Table-1 block conservation, cross-checked against the
-//!    production `Waitlist` and `OccupancyTracker` by property tests.
+//!    semantics and Table-1 block conservation, cross-checked by property
+//!    tests against the production `KernelDag` predecessor counts (each
+//!    job's waitlist) and `OccupancyTracker`.
 //! 3. **Source-level contracts** — the [`lint`] module enforces repo rules
 //!    no off-the-shelf linter knows: no wall clock in the virtual-time
 //!    stack, justified `Relaxed` orderings, no `unwrap()` on the dispatcher
@@ -46,4 +47,6 @@ pub use atomic::AtomicCell;
 pub use lint::{lint_source, Violation};
 pub use mc::{Checker, Config, Report};
 pub use models::{clean_models, mutants, ModelCheck, Mutant};
-pub use oracle::{check_journeys, check_kv, ConservationOracle, KvOracle, StreamOracle};
+pub use oracle::{
+    check_journeys, check_kv, ConservationOracle, KvOracle, StreamKind, StreamOracle,
+};

@@ -704,7 +704,7 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "hot-path-unwrap");
         // Same code in another core file is fine.
-        assert!(lint_source("crates/core/src/waitlist.rs", src).is_empty());
+        assert!(lint_source("crates/core/src/occupancy.rs", src).is_empty());
 
         let bare = "fn f(x: Option<u8>) { x.expect(\"msg\"); }\n";
         assert_eq!(lint_source("crates/core/src/dispatcher.rs", bare).len(), 1);

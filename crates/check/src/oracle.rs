@@ -1,10 +1,11 @@
 //! Brute-force invariant oracles for the dispatcher's bookkeeping.
 //!
-//! The production structures ([`Waitlist`], [`OccupancyTracker`]) maintain
-//! their answers *incrementally* — sorted unreleased-sequence sets, cached
-//! counters, per-SM mirrors. Each oracle here re-derives the same answer by
-//! the most naive computation possible (full rescans, O(n²) edge
-//! enumeration, Kahn's algorithm instead of targeted DFS) so that a
+//! The production structures (the `KernelDag` predecessor counts behind
+//! each job's waitlist, the [`OccupancyTracker`]) maintain their answers
+//! *incrementally* — precompiled edge sets, cached counters, per-SM
+//! mirrors. Each oracle here re-derives the same answer by the most naive
+//! computation possible (full rescans, O(n²) edge enumeration, a
+//! from-scratch cycle search on every push) so that a
 //! property test disagreeing between the two implementations pinpoints a
 //! bookkeeping bug rather than a shared blind spot.
 //!
@@ -19,14 +20,24 @@
 //!   `KvAlloc` trace events: per-job and pool-wide residency re-derived
 //!   from scratch, with double-free and leak detection.
 //!
-//! [`Waitlist`]: paella_core::Waitlist
 //! [`OccupancyTracker`]: paella_core::OccupancyTracker
 
 use std::collections::HashMap;
 use std::collections::HashSet;
 
-use paella_core::{OccupancyTracker, StreamKind};
+use paella_core::OccupancyTracker;
 use paella_gpu::{BlockFootprint, SmLimits, SmUsage};
+
+/// How a (virtual) stream interacts with the default stream.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StreamKind {
+    /// The legacy default stream (id 0).
+    Default,
+    /// A stream that synchronizes with the default stream.
+    Blocking,
+    /// A `cudaStreamNonBlocking` stream.
+    NonBlocking,
+}
 
 /// One recorded operation in the [`StreamOracle`].
 #[derive(Clone, Debug)]
@@ -42,9 +53,9 @@ struct Op {
 
 /// Brute-force reference implementation of CUDA stream semantics.
 ///
-/// Mirrors the [`paella_core::Waitlist`] API closely enough for lockstep
-/// property testing, but recomputes the active set and the wait graph from
-/// scratch on every query.
+/// An op-at-a-time push/release/retire API for lockstep property testing
+/// against the `KernelDag` predecessor counts; it recomputes the active set
+/// and the wait graph from scratch on every query.
 #[derive(Default, Debug)]
 pub struct StreamOracle {
     ops: Vec<Op>,
@@ -172,8 +183,8 @@ impl StreamOracle {
                 .all(|d| self.released_tokens.contains(d))
     }
 
-    /// The active token set, in stream-id order (matching
-    /// [`paella_core::Waitlist::active`]).
+    /// The active token set, in stream-id order (the order in which
+    /// `KernelDag::release` reports activations).
     pub fn active(&self) -> Vec<u64> {
         let mut streams: Vec<u32> = self
             .ops
@@ -230,8 +241,7 @@ impl StreamOracle {
         self.ops[i].retired = true;
     }
 
-    /// Releases and retires in one step, mirroring
-    /// [`paella_core::Waitlist::complete`].
+    /// Releases and retires in one step (non-pipelined completion).
     pub fn complete(&mut self, token: u64) -> Vec<u64> {
         let newly = self.release(token);
         self.retire(token);
@@ -703,7 +713,8 @@ pub fn check_kv(log: &paella_telemetry::TraceLog) -> Result<usize, String> {
 mod tests {
     use super::*;
     use paella_channels::Notification;
-    use paella_core::{VStream, Waitlist};
+    use paella_compiler::{CompiledModel, DeviceOp, JobSchedule, KernelDag};
+    use paella_gpu::KernelDesc;
 
     fn fp() -> BlockFootprint {
         BlockFootprint {
@@ -747,31 +758,48 @@ mod tests {
     }
 
     #[test]
-    fn oracle_agrees_with_waitlist_on_scripted_scenario() {
+    fn oracle_agrees_with_kernel_dag_on_scripted_scenario() {
         // The Fig. 7 composite: blocking, default, blocking, plus a
-        // cross-stream join — drained in activation order, both sides in
-        // lockstep.
-        let mut w = Waitlist::new();
-        let mut o = StreamOracle::new();
-        let script: [(u32, StreamKind, u64, &[u64]); 4] = [
-            (1, StreamKind::Blocking, 1, &[]),
-            (0, StreamKind::Default, 2, &[]),
-            (2, StreamKind::Blocking, 3, &[]),
-            (3, StreamKind::Blocking, 4, &[1, 3]),
+        // cross-stream join — drained in activation order, the DAG's
+        // predecessor counts and the oracle in lockstep.
+        let script: [(u32, StreamKind, &[u64]); 4] = [
+            (1, StreamKind::Blocking, &[]),
+            (0, StreamKind::Default, &[]),
+            (2, StreamKind::Blocking, &[]),
+            (3, StreamKind::Blocking, &[0, 2]),
         ];
-        for &(s, kind, tok, deps) in &script {
-            w.declare_stream(VStream(s), kind);
-            let got = w.push_with_deps(VStream(s), tok, deps).unwrap();
-            let want = o.push(s, kind, tok, deps).unwrap();
-            assert_eq!(got, want, "push({tok}) activity");
-            assert_eq!(w.active(), o.active());
+        let model = CompiledModel {
+            name: "fig7".into(),
+            ops: (0..script.len())
+                .map(|i| DeviceOp::Kernel(KernelDesc::empty(&format!("k{i}"), 1)))
+                .collect(),
+            schedule: Some(JobSchedule {
+                streams: script.iter().map(|&(s, _, _)| s).collect(),
+                deps: script
+                    .iter()
+                    .map(|&(_, _, d)| d.iter().map(|&t| t as usize).collect())
+                    .collect(),
+            }),
+            input_bytes: 0,
+            output_bytes: 0,
+            weight_bytes: 0,
+            flops: 0,
+        };
+        let dag = KernelDag::build(&model).unwrap();
+        let mut o = StreamOracle::new();
+        for (tok, &(s, kind, deps)) in script.iter().enumerate() {
+            o.push(s, kind, tok as u64, deps).unwrap();
         }
-        for tok in [1u64, 2, 3, 4] {
-            let s = VStream(script[tok as usize - 1].0);
-            assert_eq!(w.complete(s, tok), o.complete(tok), "complete({tok})");
-            assert_eq!(w.active(), o.active());
+        let roots: Vec<u64> = dag.roots().map(|t| t as u64).collect();
+        assert_eq!(roots, o.active(), "initial frontier");
+        let mut preds = dag.pred_counts().to_vec();
+        for tok in 0..script.len() {
+            let mut newly = Vec::new();
+            dag.release(&mut preds, tok, &mut newly);
+            let newly: Vec<u64> = newly.into_iter().map(u64::from).collect();
+            assert_eq!(newly, o.complete(tok as u64), "complete({tok})");
         }
-        assert!(w.is_empty() && o.is_empty());
+        assert!(o.is_empty() && preds.iter().all(|&p| p == 0));
     }
 
     #[test]

@@ -3,13 +3,11 @@
 //!
 //! Two layers:
 //!
-//! * **Structure** — for random stream plans, the [`KernelDag`]'s
-//!   predecessor-count activation rule is replayed in lockstep against the
-//!   brute-force [`StreamOracle`] *and* the production [`Waitlist`], with
-//!   the fast↔slow handoff point chosen at random per release
-//!   (`release_quiet` vs `release`). Event-triggered release may never
-//!   activate an op before the oracle does (a DAG-edge violation), and the
-//!   handoff may never lose or duplicate a token.
+//! * **Structure** — for random stream plans, [`KernelDag::release`] (the
+//!   one release path both dispatch paths share) is replayed in lockstep
+//!   against the brute-force [`StreamOracle`], releasing a random active op
+//!   each step. Release may never activate an op before the oracle does (a
+//!   DAG-edge violation), and may never lose or duplicate a token.
 //! * **Behavior** — a real dispatcher runs the same workload with DAG
 //!   dispatch on and off. A single uncontended job must produce a
 //!   byte-identical completion schedule and journey; a contended burst must
@@ -18,11 +16,10 @@
 
 use proptest::prelude::*;
 
-use paella_check::{check_journeys, StreamOracle};
+use paella_check::{check_journeys, StreamKind, StreamOracle};
 use paella_compiler::{CompiledModel, DeviceOp, JobSchedule, KernelDag};
 use paella_core::{
     ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
-    StreamKind, VStream, Waitlist,
 };
 use paella_gpu::{DeviceConfig, KernelDesc};
 use paella_models::synthetic;
@@ -69,14 +66,12 @@ fn plan_model(streams: &[u32], deps: &[Vec<usize>]) -> CompiledModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Event-triggered release never violates a DAG edge, and the
-    /// fast↔slow handoff loses no tokens: for random stream plans, the
-    /// pred-count activation rule, the production waitlist (with the
-    /// handoff mode re-rolled on every release), and the brute-force
+    /// Pred-count release never violates a DAG edge and loses no tokens:
+    /// for random stream plans, `KernelDag::release` and the brute-force
     /// oracle agree on every activation, and every op releases exactly
     /// once.
     #[test]
-    fn kernel_dag_matches_stream_oracle_across_handoff(
+    fn kernel_dag_release_matches_stream_oracle(
         plan in proptest::collection::vec((0u32..4, 0usize..3), 1..40),
         drive in any::<u64>(),
     ) {
@@ -100,17 +95,12 @@ proptest! {
         prop_assert_eq!(dag.len(), n);
 
         let mut oracle = StreamOracle::new();
-        let mut wl = Waitlist::new();
         let mut preds: Vec<u32> = dag.pred_counts().to_vec();
         for i in 0..n {
             let d64: Vec<u64> = deps[i].iter().map(|&j| j as u64).collect();
-            let oa = oracle
+            oracle
                 .push(streams[i], kind_of(streams[i]), i as u64, &d64)
                 .expect("acyclic by construction");
-            let wa = wl
-                .push_with_deps(VStream(streams[i]), i as u64, &d64)
-                .expect("acyclic by construction");
-            prop_assert_eq!(oa, wa, "push activity diverges at op {}", i);
         }
 
         // The DAG's roots are exactly the initially-active frontier.
@@ -123,42 +113,19 @@ proptest! {
         while !active.is_empty() {
             let pick = active.remove((nx(&mut s) as usize) % active.len());
             let o_newly = oracle.release(pick);
-            // Event-triggered activation off the DAG alone.
-            let mut d_newly: Vec<u64> = Vec::new();
-            for &succ in dag.successors(pick as usize) {
-                let left = &mut preds[succ as usize];
-                prop_assert!(*left > 0, "predecessor count underflow at op {}", succ);
-                *left -= 1;
-                if *left == 0 {
-                    d_newly.push(u64::from(succ));
-                }
-            }
-            d_newly.sort_unstable_by_key(|&t| dag.node(t as usize).vstream);
+            let mut d_newly: Vec<u32> = Vec::new();
+            dag.release(&mut preds, pick as usize, &mut d_newly);
+            let d_newly: Vec<u64> = d_newly.into_iter().map(u64::from).collect();
             prop_assert_eq!(
                 &d_newly, &o_newly,
                 "DAG edge violated releasing op {}", pick
             );
-            // Production waitlist, handoff mode re-rolled per release: the
-            // fast path releases quietly (activation comes from the DAG),
-            // the slow path takes the waitlist's own diff.
-            let vs = VStream(streams[pick as usize]);
-            if nx(&mut s).is_multiple_of(2) {
-                wl.release_quiet(vs, pick);
-            } else {
-                let w_newly = wl.release(vs, pick);
-                prop_assert_eq!(
-                    &w_newly, &o_newly,
-                    "waitlist diverges from oracle at op {}", pick
-                );
-            }
-            wl.retire(vs, pick);
             oracle.retire(pick);
             released += 1;
             active.extend(d_newly);
         }
-        prop_assert_eq!(released, n, "handoff lost tokens");
+        prop_assert_eq!(released, n, "release lost tokens");
         prop_assert!(oracle.is_empty(), "oracle still tracks ops");
-        prop_assert!(wl.is_empty(), "waitlist still tracks ops");
         prop_assert!(preds.iter().all(|&p| p == 0), "unreleased predecessors remain");
     }
 }

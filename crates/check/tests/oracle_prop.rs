@@ -10,9 +10,10 @@
 use proptest::prelude::*;
 
 use paella_channels::Notification;
-use paella_check::{ConservationOracle, StreamOracle};
-use paella_core::{OccupancyTracker, StreamKind, VStream, Waitlist};
-use paella_gpu::{BlockFootprint, SmLimits};
+use paella_check::{ConservationOracle, StreamKind, StreamOracle};
+use paella_compiler::{CompiledModel, DagError, DeviceOp, JobSchedule, KernelDag};
+use paella_core::OccupancyTracker;
+use paella_gpu::{BlockFootprint, KernelDesc, SmLimits};
 
 /// Cheap deterministic stream of choices derived from one generated seed.
 fn nx(s: &mut u64) -> u64 {
@@ -22,13 +23,65 @@ fn nx(s: &mut u64) -> u64 {
     *s >> 33
 }
 
-/// Stream id → kind, fixed across tests: 0 is the default stream, 4 is
-/// non-blocking, everything else blocking (CUDA's default).
+/// Stream id → kind: 0 is the default stream, everything else blocking
+/// (CUDA's default; the dispatcher declares no non-blocking streams).
 fn kind_of(stream: u32) -> StreamKind {
-    match stream {
-        0 => StreamKind::Default,
-        4 => StreamKind::NonBlocking,
-        _ => StreamKind::Blocking,
+    if stream == 0 {
+        StreamKind::Default
+    } else {
+        StreamKind::Blocking
+    }
+}
+
+/// An all-kernel model with the given per-op stream plan and dependencies
+/// (op index == token).
+fn plan_model(streams: &[u32], deps: &[Vec<usize>]) -> CompiledModel {
+    CompiledModel {
+        name: "oracle-prop".into(),
+        ops: (0..streams.len())
+            .map(|i| DeviceOp::Kernel(KernelDesc::empty(&format!("k{i}"), 1)))
+            .collect(),
+        schedule: Some(JobSchedule {
+            streams: streams.to_vec(),
+            deps: deps.to_vec(),
+        }),
+        input_bytes: 0,
+        output_bytes: 0,
+        weight_bytes: 0,
+        flops: 0,
+    }
+}
+
+/// Drains a job's waitlist (a copy of `dag`'s predecessor counts) by
+/// completing a pseudo-randomly chosen active op each step, in lockstep
+/// with `o`: the active set (in stream-id order) and every completion's
+/// newly-active set must match. Returns how many ops completed.
+fn drain_in_lockstep(
+    dag: &KernelDag,
+    o: &mut StreamOracle,
+    drive: u64,
+) -> Result<usize, TestCaseError> {
+    let by_stream = |mut v: Vec<u64>| {
+        v.sort_unstable_by_key(|&t| dag.node(t as usize).vstream);
+        v
+    };
+    let mut preds = dag.pred_counts().to_vec();
+    let mut active: Vec<u64> = dag.roots().map(|t| t as u64).collect();
+    let mut seed = drive;
+    let mut completed = 0usize;
+    loop {
+        prop_assert_eq!(by_stream(active.clone()), o.active(), "active set");
+        if active.is_empty() {
+            return Ok(completed);
+        }
+        let t = active.remove((nx(&mut seed) as usize) % active.len());
+        let mut newly = Vec::new();
+        dag.release(&mut preds, t as usize, &mut newly);
+        let newly: Vec<u64> = newly.into_iter().map(u64::from).collect();
+        prop_assert_eq!(&newly, &o.complete(t), "newly active after {}", t);
+        active.extend(newly);
+        completed += 1;
+        prop_assert!(completed <= dag.len(), "completed more ops than exist");
     }
 }
 
@@ -51,104 +104,107 @@ fn big_fp() -> BlockFootprint {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random backward-dep op sequences: push activity, the active set, the
-    /// newly-activated set of every completion, and the drain order all
-    /// match between `Waitlist` and the brute-force `StreamOracle`.
+    /// Random backward-dep op sequences: the initial frontier, the active
+    /// set, and the newly-activated set of every completion all match
+    /// between the `KernelDag` predecessor counts and the brute-force
+    /// `StreamOracle`.
     #[test]
-    fn waitlist_matches_stream_oracle(
-        ops in proptest::collection::vec((0u32..5, any::<bool>(), any::<u64>()), 1..40),
+    fn kernel_dag_matches_stream_oracle(
+        ops in proptest::collection::vec((0u32..4, any::<bool>(), any::<u64>()), 1..40),
         drive in any::<u64>(),
     ) {
-        let mut w = Waitlist::new();
         let mut o = StreamOracle::new();
-        let mut stream_of = Vec::new();
+        let mut streams = Vec::new();
+        let mut deps = Vec::new();
         for (i, &(stream, has_dep, dep_pick)) in ops.iter().enumerate() {
-            let kind = kind_of(stream);
-            w.declare_stream(VStream(stream), kind);
-            let token = i as u64;
             // Backward deps only (on an earlier token): never a cycle.
-            let deps: Vec<u64> = if has_dep && i > 0 {
-                vec![dep_pick % i as u64]
+            let d: Vec<usize> = if has_dep && i > 0 {
+                vec![(dep_pick % i as u64) as usize]
             } else {
                 Vec::new()
             };
-            let got = w.push_with_deps(VStream(stream), token, &deps);
-            let want = o.push(stream, kind, token, &deps);
-            prop_assert_eq!(got.is_ok(), want.is_ok(), "push({token}) result kind");
-            prop_assert_eq!(
-                got.expect("backward deps cannot cycle"),
-                want.expect("backward deps cannot cycle"),
-                "push({token}) activity"
-            );
-            prop_assert_eq!(w.active(), o.active(), "active() after push({token})");
-            stream_of.push(stream);
+            let d64: Vec<u64> = d.iter().map(|&t| t as u64).collect();
+            o.push(stream, kind_of(stream), i as u64, &d64)
+                .expect("backward deps cannot cycle");
+            streams.push(stream);
+            deps.push(d);
         }
-        // Drain by completing a pseudo-randomly chosen active op each step.
-        let mut seed = drive;
-        let mut steps = 0usize;
-        while !w.is_empty() {
-            let active = w.active();
-            prop_assert!(!active.is_empty(), "livelock: tracked ops but none active");
-            let t = active[(nx(&mut seed) as usize) % active.len()];
-            let s = VStream(stream_of[t as usize]);
-            prop_assert_eq!(w.complete(s, t), o.complete(t), "newly active after {t}");
-            prop_assert_eq!(w.active(), o.active(), "active() after complete({t})");
-            steps += 1;
-            prop_assert!(steps <= ops.len(), "drained more ops than pushed");
-        }
+        let dag = KernelDag::build(&plan_model(&streams, &deps))
+            .expect("backward deps cannot cycle");
+        let completed = drain_in_lockstep(&dag, &mut o, drive)?;
+        prop_assert_eq!(completed, ops.len(), "livelock: ops left inactive");
         prop_assert!(o.is_empty());
     }
 
-    /// With forward dependencies in the mix, wait cycles become possible;
-    /// both implementations must reject exactly the same pushes and agree
-    /// on all state in between.
+    /// With forward dependencies in the mix, wait cycles become possible:
+    /// `KernelDag::build` rejects a plan exactly when the oracle rejects
+    /// one of its pushes, and an accepted plan drains in lockstep. A dep
+    /// naming no op of the model is rejected outright, where the oracle
+    /// would leave its op waiting forever.
     #[test]
-    fn waitlist_cycle_rejection_matches_oracle(
+    fn kernel_dag_cycle_rejection_matches_oracle(
         ops in proptest::collection::vec((0u32..4, 0u32..3, any::<u64>()), 2..30),
+        oob in any::<u64>(),
         drive in any::<u64>(),
     ) {
-        let mut w = Waitlist::new();
-        let mut o = StreamOracle::new();
-        let mut stream_of = std::collections::HashMap::new();
-        let mut rejected = 0usize;
+        let n = ops.len();
+        let mut streams = Vec::new();
+        let mut deps: Vec<Vec<usize>> = Vec::new();
         for (i, &(stream, dep_mode, dep_pick)) in ops.iter().enumerate() {
-            let kind = kind_of(stream);
-            w.declare_stream(VStream(stream), kind);
-            let token = i as u64;
-            let deps: Vec<u64> = match dep_mode {
-                // Forward dep on a token up to 3 ahead (may never arrive).
-                0 => vec![token + 1 + dep_pick % 3],
-                1 if i > 0 => vec![dep_pick % i as u64],
+            let d = match dep_mode {
+                // Forward dep on a later op up to 3 ahead.
+                0 if i + 1 < n => vec![(i + 1 + (dep_pick % 3) as usize).min(n - 1)],
+                1 if i > 0 => vec![(dep_pick % i as u64) as usize],
                 _ => Vec::new(),
             };
-            let got = w.push_with_deps(VStream(stream), token, &deps);
-            let want = o.push(stream, kind, token, &deps);
-            prop_assert_eq!(
-                got.is_err(), want.is_err(),
-                "cycle verdict for push({token}) deps {deps:?}: waitlist {got:?}, oracle {want:?}"
-            );
-            if let (Ok(a), Ok(b)) = (got, want) {
-                prop_assert_eq!(a, b, "push({token}) activity");
-                stream_of.insert(token, stream);
-            } else {
+            streams.push(stream);
+            deps.push(d);
+        }
+        // One case in four: one op also names an op past the model's end.
+        let stray = oob
+            .is_multiple_of(4)
+            .then(|| ((oob >> 2) as usize % n, n + (oob >> 8) as usize % 3));
+        if let Some((op, dep)) = stray {
+            deps[op].push(dep);
+        }
+        let mut o = StreamOracle::new();
+        let mut rejected = 0usize;
+        for i in 0..n {
+            let d64: Vec<u64> = deps[i].iter().map(|&t| t as u64).collect();
+            if o.push(streams[i], kind_of(streams[i]), i as u64, &d64).is_err() {
                 rejected += 1;
             }
-            prop_assert_eq!(w.active(), o.active(), "active() after push({token})");
         }
-        // Drain whatever can still run; ops stuck on never-pushed forward
-        // deps legitimately remain, but both sides must agree they do.
-        let mut seed = drive;
-        loop {
-            let active = w.active();
-            prop_assert_eq!(&active, &o.active());
-            if active.is_empty() {
-                break;
+        let built = KernelDag::build(&plan_model(&streams, &deps));
+        if let Some((op, dep)) = stray {
+            prop_assert_eq!(built.unwrap_err(), DagError::DepOutOfRange { token: op, dep });
+            // The oracle admits the stray dep as a forward wait that never
+            // resolves: unless its push was refused, that op never runs.
+            let mut seed = drive;
+            loop {
+                let active = o.active();
+                if active.is_empty() {
+                    break;
+                }
+                o.complete(active[(nx(&mut seed) as usize) % active.len()]);
             }
-            let t = active[(nx(&mut seed) as usize) % active.len()];
-            let s = VStream(stream_of[&t]);
-            prop_assert_eq!(w.complete(s, t), o.complete(t), "newly active after {t}");
+            prop_assert!(
+                !o.is_empty() || rejected > 0,
+                "op {} ran with an unsatisfiable dep", op
+            );
+            return Ok(());
         }
-        prop_assert_eq!(w.len(), o.len(), "stuck op count ({rejected} pushes rejected)");
+        match built {
+            Err(e) => {
+                prop_assert!(matches!(e, DagError::Cycle { .. }), "unexpected {e:?}");
+                prop_assert!(rejected > 0, "DAG found a cycle the oracle admitted");
+            }
+            Ok(dag) => {
+                prop_assert_eq!(rejected, 0, "oracle found a cycle the DAG admitted");
+                let completed = drain_in_lockstep(&dag, &mut o, drive)?;
+                prop_assert_eq!(completed, n, "livelock: ops left inactive");
+            }
+        }
     }
 
     /// Valid placement/completion scripts: the occupancy tracker's mirror
@@ -273,74 +329,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Cancellation invariant (DESIGN §11): completing a random prefix of a
-    /// random stream DAG and then draining the rest leaves no orphaned
-    /// dependency state, conserves `len()` exactly — every pushed op is
-    /// either completed or drained, never both, never neither — and leaves
-    /// the waitlist ready for fresh work on every stream kind.
-    #[test]
-    fn cancelling_a_random_prefix_leaves_no_orphans(
-        ops in proptest::collection::vec((0u32..5, any::<bool>(), any::<u64>()), 1..40),
-        drive in any::<u64>(),
-    ) {
-        let mut w = Waitlist::new();
-        let mut stream_of = Vec::new();
-        for (i, &(stream, has_dep, dep_pick)) in ops.iter().enumerate() {
-            w.declare_stream(VStream(stream), kind_of(stream));
-            let deps: Vec<u64> = if has_dep && i > 0 {
-                vec![dep_pick % i as u64]
-            } else {
-                Vec::new()
-            };
-            w.push_with_deps(VStream(stream), i as u64, &deps)
-                .expect("backward deps cannot cycle");
-            stream_of.push(stream);
-        }
-        prop_assert_eq!(w.len(), ops.len());
-        // Complete a pseudo-random prefix of the DAG in dependency order —
-        // the "mid-flight" part of the cancellation.
-        let mut seed = drive;
-        let target = (nx(&mut seed) as usize) % (ops.len() + 1);
-        let mut completed = std::collections::HashSet::new();
-        while completed.len() < target {
-            let active = w.active();
-            prop_assert!(!active.is_empty(), "livelock before cancellation");
-            let t = active[(nx(&mut seed) as usize) % active.len()];
-            w.complete(VStream(stream_of[t as usize]), t);
-            completed.insert(t);
-        }
-        // Cancel: everything still tracked drains in one deterministic pass.
-        let drained = w.drain();
-        prop_assert_eq!(
-            completed.len() + drained.len(),
-            ops.len(),
-            "len conserved: completed + drained must cover every push"
-        );
-        let drained_tokens: std::collections::HashSet<u64> =
-            drained.iter().map(|&(_, t)| t).collect();
-        prop_assert_eq!(drained_tokens.len(), drained.len(), "no token drained twice");
-        for t in 0..ops.len() as u64 {
-            prop_assert!(
-                completed.contains(&t) != drained_tokens.contains(&t),
-                "op {t} must be exactly one of completed/drained"
-            );
-        }
-        prop_assert!(w.is_empty());
-        prop_assert_eq!(w.active(), Vec::<u64>::new());
-        // No orphaned ordering state: a fresh op on each stream kind must
-        // activate immediately, as on a brand-new waitlist. A leaked
-        // default/blocking unreleased set would hold these back.
-        for (stream, token) in [(0u32, 10_000u64), (1, 10_001), (4, 10_002)] {
-            w.declare_stream(VStream(stream), kind_of(stream));
-            let active = w
-                .push(VStream(stream), token)
-                .expect("no deps, no cycle");
-            prop_assert!(active, "post-drain push on stream {stream} must be active");
-            w.complete(VStream(stream), token);
-        }
-        prop_assert!(w.is_empty());
-    }
 
     /// Reclamation invariant (DESIGN §11): reclaiming a random subset of
     /// kernels mid-flight — some blocks placed, some still pending, exactly

@@ -1,12 +1,14 @@
-//! The pre-validated kernel-DAG artifact for whole-DAG submission.
+//! The kernel-DAG artifact: the one dependency engine behind Paella's
+//! per-job waitlist (Fig. 7, §4.2).
 //!
-//! Paella's kernel-granularity dispatcher re-derives "which op may run
-//! next?" from the per-job [`Waitlist`] on every release. The DAG artifact
-//! flattens that question once, at `register_model` time: every op of a
-//! [`CompiledModel`] becomes a node with a dense successor list and a
-//! predecessor count, such that *an op is schedulable exactly when its
-//! predecessor count reaches zero*. The encoded edge set reproduces CUDA
-//! stream semantics precisely:
+//! Fig. 7's waitlist answers "which of a job's intercepted ops may run
+//! next?" under CUDA stream semantics. The DAG artifact answers it once per
+//! model, at `register_model` time: every op of a [`CompiledModel`] becomes
+//! a node with a dense successor list and a predecessor count. A job's
+//! waitlist is then just a copy of those counts: *an op is active exactly
+//! when its count reaches zero*, and [`KernelDag::release`] decrements the
+//! counts of a released op's successors. The encoded edge set reproduces
+//! CUDA stream semantics:
 //!
 //! * the explicit cross-stream dependencies of the model's
 //!   [`JobSchedule`] (`cudaStreamWaitEvent`-style joins);
@@ -14,19 +16,19 @@
 //!   release in issue order, so the immediate predecessor edge covers the
 //!   whole chain);
 //! * the default↔blocking serialization edges (a stream-0 op waits on
-//!   *every* earlier-issued op of a blocking stream, and vice versa).
+//!   *every* earlier-issued op of a blocking stream, and vice versa). Every
+//!   non-zero stream is blocking: the dispatcher declares no
+//!   `cudaStreamNonBlocking` streams.
 //!
 //! Because releases within a stream are totally ordered, predecessor
-//! counting over this edge set activates each op at exactly the instant the
-//! waitlist's from-scratch active-set scan would — the lockstep proof lives
-//! in `paella-check`. The dispatcher's event-triggered fast path walks the
-//! successor list of a completed op directly off the GPU notification, with
-//! no waitlist re-scan and no scheduler invocation.
+//! counting over this edge set activates each op at exactly the instant a
+//! from-scratch scan of CUDA's rules would. `paella-check` proves this in
+//! lockstep against its brute-force `StreamOracle`.
 //!
 //! Construction validates the artifact once — shape checks, range checks,
 //! and a Kahn cycle check — so per-job ingest can trust it unconditionally.
 //!
-//! [`Waitlist`]: ../paella_core/struct.Waitlist.html
+//! [`JobSchedule`]: crate::JobSchedule
 
 use std::fmt;
 
@@ -236,8 +238,7 @@ impl KernelDag {
             succ_off[t + 1] += succ_off[t];
         }
         // `edges` is sorted by (pred, succ), so successor lists land in the
-        // CSR ascending per node — matching the waitlist's stream-id-ordered
-        // activation reports after the per-release sort in the dispatcher.
+        // CSR ascending per node.
         let succ: Vec<u32> = edges.iter().map(|&(_, s)| s).collect();
 
         let dag = KernelDag {
@@ -302,6 +303,28 @@ impl KernelDag {
     /// job's activation state starts as a copy of this vector.
     pub fn pred_counts(&self) -> &[u32] {
         &self.pred_count
+    }
+
+    /// Releases op `token` against one job's predecessor counts (a copy of
+    /// [`pred_counts`](Self::pred_counts)): decrements each successor's count
+    /// and appends the ops that reach zero to `activated`, in ascending
+    /// vstream order. At most one op per stream activates per release.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is out of range. Debug builds also panic if a
+    /// successor's count is already zero (`token` released twice).
+    pub fn release(&self, preds_left: &mut [u32], token: usize, activated: &mut Vec<u32>) {
+        let from = activated.len();
+        for &s in self.successors(token) {
+            let left = &mut preds_left[s as usize];
+            debug_assert!(*left > 0, "KernelDag predecessor count underflow");
+            *left -= 1;
+            if *left == 0 {
+                activated.push(s);
+            }
+        }
+        activated[from..].sort_unstable_by_key(|&t| self.nodes[t as usize].vstream);
     }
 
     /// Ops with no predecessors (initially active), ascending.
@@ -419,6 +442,102 @@ mod tests {
         assert_eq!(dag.pred_counts(), &[0, 1, 1]);
         assert_eq!(dag.successors(0), &[1]);
         assert_eq!(dag.successors(1), &[2]);
+    }
+
+    /// CUDA stream semantics, one row per rule: each row's plan must start
+    /// with `roots` active, and releasing each op of `steps` in turn must
+    /// activate exactly the listed ops, in vstream order.
+    #[test]
+    fn pred_counting_reproduces_stream_semantics() {
+        type Row = (
+            &'static str,
+            &'static [u32],
+            &'static [&'static [usize]],
+            &'static [u32],
+            &'static [(usize, &'static [u32])],
+        );
+        let rows: &[Row] = &[
+            (
+                // Pipelined release fires at full placement, before the op
+                // retires: the successor activates on release alone.
+                "in-stream FIFO; release activates the successor",
+                &[1, 1, 1],
+                &[],
+                &[0],
+                &[(0, &[1]), (1, &[2]), (2, &[])],
+            ),
+            (
+                "default blocks a later blocking op",
+                &[0, 1],
+                &[],
+                &[0],
+                &[(0, &[1])],
+            ),
+            (
+                "blocking blocks a later default op",
+                &[1, 0],
+                &[],
+                &[0],
+                &[(0, &[1])],
+            ),
+            (
+                "default waits only on earlier-issued work",
+                &[1, 0, 2],
+                &[],
+                &[0],
+                &[(0, &[1]), (1, &[2])],
+            ),
+            (
+                "independent blocking streams run concurrently",
+                &[1, 2, 1],
+                &[],
+                &[0, 1],
+                &[(0, &[2]), (1, &[])],
+            ),
+            (
+                "cross-stream join waits for every producer",
+                &[1, 2, 3],
+                &[&[], &[], &[0, 1]],
+                &[0, 1],
+                &[(0, &[]), (1, &[2])],
+            ),
+            (
+                "dep composes with stream order",
+                &[1, 2, 1],
+                &[&[], &[], &[1]],
+                &[0, 1],
+                &[(1, &[]), (0, &[2])],
+            ),
+            (
+                "one release activates several streams in vstream order",
+                &[0, 3, 2],
+                &[],
+                &[0],
+                &[(0, &[2, 1])],
+            ),
+        ];
+        for &(name, streams, deps, roots, steps) in rows {
+            let n = streams.len();
+            let deps: Vec<Vec<usize>> = (0..n)
+                .map(|t| deps.get(t).map_or_else(Vec::new, |d| d.to_vec()))
+                .collect();
+            let ops = (0..n)
+                .map(|t| DeviceOp::Kernel(kernel(&format!("k{t}"), 1)))
+                .collect();
+            let schedule = JobSchedule {
+                streams: streams.to_vec(),
+                deps,
+            };
+            let dag = KernelDag::build(&model(ops, Some(schedule))).unwrap();
+            let got: Vec<u32> = dag.roots().map(|t| t as u32).collect();
+            assert_eq!(got, roots, "{name}: roots");
+            let mut preds = dag.pred_counts().to_vec();
+            for &(token, want) in steps {
+                let mut activated = Vec::new();
+                dag.release(&mut preds, token, &mut activated);
+                assert_eq!(activated, want, "{name}: release of op {token}");
+            }
+        }
     }
 
     #[test]

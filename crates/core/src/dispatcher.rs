@@ -1,6 +1,7 @@
 //! The Paella dispatcher (§5): a single-core serving loop that ingests
 //! requests from client shared-memory rings, runs each job's adaptor under
-//! the CUDA-emulation waitlist, dispatches kernels per the configured
+//! the CUDA-emulation waitlist (a per-job copy of the model's [`KernelDag`]
+//! predecessor counts), dispatches kernels per the configured
 //! scheduler and occupancy budget, folds device notifications into the
 //! occupancy mirror, and returns results through the hybrid wake-up channel.
 //!
@@ -12,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 
 use paella_channels::{ChannelConfig, KernelUid, NotifKind, Notification};
 use paella_compiler::{
-    bootstrap_profile, instrumented, measure_uncontended, CompiledModel, DeviceOp, KernelDag,
+    bootstrap_profile, instrumented, measure_uncontended, CompiledModel, DagResources, KernelDag,
     ModelProfile,
 };
 use paella_gpu::{
@@ -30,7 +31,6 @@ use crate::types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
     ModelId,
 };
-use crate::waitlist::{VStream, Waitlist};
 
 /// Dispatch granularity (Table 3's "Dispatch" column).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -141,7 +141,7 @@ pub struct DispatcherConfig {
     /// exactly one job is in flight and the device sits below
     /// `fastpath_occupancy_pct`, its successors activate directly off GPU
     /// completion notifications via the model's pre-validated [`KernelDag`]
-    /// — no waitlist re-scan, no scheduler invocation. Falls back to full
+    /// with no scheduler invocation. Falls back to full
     /// SRPT-with-deficit arbitration the moment the device is contended.
     /// Off by default: the fast path skips per-kernel deficit charges, so
     /// enabling it is an explicit serving-policy choice.
@@ -265,29 +265,25 @@ struct RegisteredModel {
     /// updates in O(1) per event instead of rescanning every job per poll.
     left: Vec<f64>,
     /// The pre-validated kernel DAG (dense successor lists + predecessor
-    /// counts), built once here so per-job ingest can copy the counts and
-    /// the event-triggered fast path can walk successors unconditionally.
+    /// counts, per-op streams and resources), built once here: the only
+    /// dependency structure at runtime. Each kernel-granularity job copies
+    /// its counts at ingest.
     dag: KernelDag,
+    /// The distinct vstreams of the DAG, sorted: slot `i` of a
+    /// kernel-granularity job's real streams backs `vstreams[i]`.
+    vstreams: Vec<u32>,
     /// Kernel descriptors indexed by kernel location, for O(1) lookup on
     /// the dispatch hot path (`model.kernels().nth(loc)` is O(K)).
     kernel_descs: Vec<KernelDesc>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum OpKind {
-    H2D(usize),
-    Kernel(usize), // kernel location (index among kernels)
-    D2H(usize),
-}
-
+/// One in-flight job. Everything per-model (op kinds, streams, edges) is
+/// read from the registered model's [`KernelDag`]; a token is an op index.
 struct Job {
     request: InferenceRequest,
-    waitlist: Waitlist,
-    /// Ops of the model, as (kind, waitlist token) in issue order.
-    ops: Vec<OpKind>,
-    /// Virtual stream of each op (all 1 for sequential models).
-    op_vstreams: Vec<u32>,
     /// Tokens currently active (released predecessors) and not dispatched.
+    /// Kernel granularity only: job granularity dispatches every op at
+    /// ingest and does no activation bookkeeping.
     active_undispatched: VecDeque<u64>,
     /// Ops dispatched but not completed.
     outstanding: usize,
@@ -296,11 +292,9 @@ struct Job {
     /// Per-kernel-location dispatch counts (for remaining-time estimates).
     done_counts: Vec<u32>,
     /// Real CUDA streams backing this job's virtual streams, in vstream
-    /// order (index i backs the i-th distinct vstream). Empty until a pool
-    /// stream is available.
+    /// order (index i backs the model's i-th distinct vstream; one stream in
+    /// job granularity). Empty until a pool stream is available.
     streams: Vec<StreamId>,
-    /// The distinct vstreams of the model, sorted.
-    vstreams: Vec<u32>,
     total_estimate: SimDuration,
     almost_finished_at: Option<SimTime>,
     ingested_at: SimTime,
@@ -308,17 +302,19 @@ struct Job {
     last_dispatched: bool,
     /// Accumulated framework CPU time attributed to this job.
     framework: SimDuration,
-    /// Tokens already released in the waitlist: a dense bitset, one bit per
-    /// op (tokens are compact indices into `ops`). Replaces a per-job
-    /// `HashSet<u64>` — the release path is per-kernel hot, and hashing a
-    /// compact index to test membership wastes both time and an allocation.
+    /// Tokens already released: a dense bitset, one bit per op. Makes
+    /// release idempotent (placement and completion may both release).
     released_ops: ReleasedSet,
-    /// Per-op unreleased-predecessor counts over the model's [`KernelDag`]
-    /// (kernel granularity only; empty in job mode). An op activates exactly
-    /// when its count hits zero — maintained on *every* release so the
-    /// event-triggered fast path can take over mid-job, and cross-validated
-    /// against the waitlist diff in debug builds on the slow path.
+    /// Fig. 7's waitlist: per-op unreleased-predecessor counts over the
+    /// model's [`KernelDag`] (kernel granularity only; empty in job mode).
+    /// An op activates exactly when its count hits zero.
     preds_left: Vec<u32>,
+    /// Dispatched, not yet completed kernels and memcpys, ascending by uid,
+    /// so cancellation reclaims without scanning the global uid maps.
+    inflight_kernels: Vec<KernelUid>,
+    inflight_memcpys: Vec<MemcpyUid>,
+    /// Fault count per op token, for retry budgeting and backoff doubling.
+    fault_attempts: Vec<(u64, u32)>,
     /// Deadline instant, when a deadline factor is configured (SLO ledger).
     deadline_at: Option<SimTime>,
     /// -- journey accumulators (DESIGN §12): raw per-cause wait time, -----
@@ -336,38 +332,28 @@ struct Job {
 }
 
 impl Job {
-    fn is_ready(&self) -> bool {
-        !self.active_undispatched.is_empty()
-    }
-
     /// Whether real streams have been assigned.
     fn has_streams(&self) -> bool {
         !self.streams.is_empty()
-    }
-
-    /// The real stream backing op `token`.
-    fn real_stream(&self, token: u64) -> StreamId {
-        let vs = self.op_vstreams[token as usize];
-        // invariant: vstreams is the sorted dedup of op_vstreams, built from
-        // the same ops vector at ingest, so every op's vstream is present.
-        let idx = self
-            .vstreams
-            .binary_search(&vs)
-            .expect("vstream registered");
-        self.streams[idx]
-    }
-
-    /// The virtual stream of op `token`.
-    fn vstream(&self, token: u64) -> VStream {
-        VStream(self.op_vstreams[token as usize])
     }
 
     fn next_active(&self) -> Option<u64> {
         self.active_undispatched.front().copied()
     }
 
-    fn done(&self) -> bool {
-        self.completed == self.ops.len()
+    /// The front active op, if it is a kernel: `(token, kernel location)`.
+    /// A job is ready for the scheduler exactly when this is `Some`; active
+    /// memcpys are not scheduled, they auto-dispatch.
+    fn front_kernel(&self, dag: &KernelDag) -> Option<(u64, usize)> {
+        let token = self.next_active()?;
+        match dag.node(token as usize).resources {
+            DagResources::Kernel { loc, .. } => Some((token, loc as usize)),
+            DagResources::H2D(_) | DagResources::D2H(_) => None,
+        }
+    }
+
+    fn released(&self, token: u64) -> bool {
+        self.released_ops.contains(token)
     }
 }
 
@@ -411,6 +397,8 @@ pub struct Dispatcher {
     gpu_out: Vec<GpuOutput>,
     /// Scratch buffer for one notification run (reused across steps).
     notif_run: Vec<Notification>,
+    /// Scratch buffer for the ops one release activates (reused).
+    activated: Vec<u32>,
     /// Jobs in flight per client (for deficit resets on idle).
     client_inflight: HashMap<ClientId, usize>,
     /// First-placement time per in-flight kernel (online profiling).
@@ -444,8 +432,6 @@ pub struct Dispatcher {
     /// Clients that disconnected: their in-flight jobs were cancelled and
     /// later submissions are refused.
     disconnected: std::collections::HashSet<ClientId>,
-    /// Fault count per op, for retry budgeting and backoff doubling.
-    kernel_attempts: HashMap<(JobId, u64), u32>,
     /// Structured telemetry sink for host-side events (no-op by default).
     tracer: Tracer,
     /// Metrics registry, allocated only when telemetry is enabled.
@@ -505,6 +491,7 @@ impl Dispatcher {
             completions: Vec::new(),
             gpu_out: Vec::new(),
             notif_run: Vec::new(),
+            activated: Vec::new(),
             client_inflight: HashMap::new(),
             kernel_started: HashMap::new(),
             notifq_outstanding: 0,
@@ -517,7 +504,6 @@ impl Dispatcher {
             fault_rng: Xoshiro256pp::seed_from_u64(seed ^ 0xFA_0175),
             failures: Vec::new(),
             disconnected: std::collections::HashSet::new(),
-            kernel_attempts: HashMap::new(),
             tracer: Tracer::disabled(),
             metrics: None,
             next_sample: SimTime::ZERO,
@@ -585,35 +571,27 @@ impl Dispatcher {
     ///
     /// # Panics
     ///
-    /// Panics if the model's multi-stream schedule contains a
-    /// stream/dependency wait cycle: every job of such a model would wedge
-    /// at ingest, so the bad artifact is rejected once, here, where the
-    /// failure names the model.
+    /// Panics if the model's multi-stream schedule is malformed (shape
+    /// mismatch, out-of-range dependency) or contains a stream/dependency
+    /// wait cycle: every job of such a model would wedge at ingest, so the
+    /// bad artifact is rejected once, here, where the failure names the
+    /// model.
     pub fn register_model(&mut self, model: &CompiledModel) -> ModelId {
         let compiled = if self.cfg.instrument {
             instrumented(model, InstrumentationSpec::default())
         } else {
             model.clone()
         };
-        if let Some(sched) = &compiled.schedule {
-            let mut scratch = Waitlist::new();
-            for token in 0..compiled.ops.len() {
-                let deps: Vec<u64> = sched.deps[token].iter().map(|&d| d as u64).collect();
-                if let Err(e) =
-                    scratch.push_with_deps(VStream(sched.streams[token]), token as u64, &deps)
-                {
-                    panic!("model {:?}: unschedulable stream plan: {e}", compiled.name);
-                }
-            }
-        }
-        // Whole-DAG submission artifact: dense successor lists + predecessor
-        // counts, cycle/shape-checked once here so every later per-job use
-        // (pred-count copies at ingest, successor walks at release) can
-        // trust it unconditionally.
+        // Dense successor lists + predecessor counts, shape/range/cycle
+        // checked once here so every later per-job use (pred-count copies at
+        // ingest, successor walks at release) can trust it unconditionally.
         let dag = match KernelDag::build(&compiled) {
             Ok(d) => d,
             Err(e) => panic!("model {:?}: unschedulable stream plan: {e}", compiled.name),
         };
+        let mut vstreams: Vec<u32> = (0..dag.len()).map(|t| dag.node(t).vstream).collect();
+        vstreams.sort_unstable();
+        vstreams.dedup();
         let kernel_descs: Vec<KernelDesc> = compiled.kernels().cloned().collect();
         let profile = bootstrap_profile(model);
         let uncontended = measure_uncontended(&compiled, self.gpu.config());
@@ -625,6 +603,7 @@ impl Dispatcher {
             uncontended,
             left,
             dag,
+            vstreams,
             kernel_descs,
         });
         id
@@ -896,11 +875,8 @@ impl Dispatcher {
             let mut ready = self.scheduler.ready_len() as u64;
             if let Some(id) = self.fast_job {
                 if self.jobs.get(&id).is_some_and(|j| {
-                    j.is_ready()
-                        && matches!(
-                            j.next_active().map(|t| j.ops[t as usize]),
-                            Some(OpKind::Kernel(_))
-                        )
+                    j.front_kernel(&self.models[j.request.model.0 as usize].dag)
+                        .is_some()
                 }) {
                     ready += 1;
                 }
@@ -1033,96 +1009,42 @@ impl Dispatcher {
             m.inc("jobs_ingested", 1);
         }
 
-        // Build the op list and waitlist; the adaptor's run() issues every
-        // CUDA call up front (the coroutine yields at the final sync). Models
+        // The adaptor's run() issues every CUDA call up front (the coroutine
+        // yields at the final sync), so the job's waitlist starts as a copy
+        // of the model's predecessor counts with its roots active. Models
         // with a multi-stream schedule get per-op virtual streams and
-        // cudaStreamWaitEvent-style joins.
-        let mut ops = Vec::new();
-        let mut op_vstreams = Vec::new();
-        let mut waitlist = Waitlist::new();
-        let mut kernel_loc = 0usize;
-        let mut initially_active = Vec::new();
-        {
-            let m = &self.models[model_idx].model;
-            for (token, op) in m.ops.iter().enumerate() {
-                let kind = match op {
-                    DeviceOp::InputCopy { bytes } => OpKind::H2D(*bytes),
-                    DeviceOp::Kernel(_) => {
-                        let k = OpKind::Kernel(kernel_loc);
-                        kernel_loc += 1;
-                        k
-                    }
-                    DeviceOp::OutputCopy { bytes } => OpKind::D2H(*bytes),
-                };
-                ops.push(kind);
-                // Multi-stream schedules need the kernel-granularity
-                // dispatcher to realize cross-stream joins (there is no
-                // device-side event in job-by-job submission), so job-mode
-                // configs run scheduled models sequentially.
-                let (vs, deps) = match (&m.schedule, self.cfg.granularity) {
-                    (Some(sched), Granularity::Kernel) => (
-                        sched.streams[token],
-                        sched.deps[token]
-                            .iter()
-                            .map(|&d| d as u64)
-                            .collect::<Vec<u64>>(),
-                    ),
-                    _ => (1, Vec::new()),
-                };
-                op_vstreams.push(vs);
-                // invariant: register_model replayed this exact schedule
-                // through a scratch waitlist and panicked on cycles, so every
-                // ingest-time push is admissible and skips the cycle search.
-                let active = waitlist.push_prevalidated(VStream(vs), token as u64, &deps);
-                if active {
-                    initially_active.push(token as u64);
-                }
-            }
-        }
-        let mut vstreams = op_vstreams.clone();
-        vstreams.sort_unstable();
-        vstreams.dedup();
-        let kernel_count = kernel_loc;
-        let total_estimate = self.models[model_idx].profile.total_estimate();
-        // Kernel granularity activates ops by predecessor counting over the
-        // model DAG (kept in lockstep with the waitlist; the fast path runs
-        // on it alone). Job mode forces sequential single-stream execution,
-        // which the schedule-derived DAG does not describe — leave empty.
-        let preds_left = match self.cfg.granularity {
-            Granularity::Kernel => self.models[model_idx].dag.pred_counts().to_vec(),
-            Granularity::Job => Vec::new(),
+        // cudaStreamWaitEvent-style joins. Multi-stream schedules need the
+        // kernel-granularity dispatcher to realize cross-stream joins (there
+        // is no device-side event in job-by-job submission), so job-mode
+        // configs run every model sequentially on one stream and track no
+        // activations.
+        let rm = &self.models[model_idx];
+        let (preds_left, active_undispatched) = match self.cfg.granularity {
+            Granularity::Kernel => (
+                rm.dag.pred_counts().to_vec(),
+                rm.dag.roots().map(|t| t as u64).collect(),
+            ),
+            Granularity::Job => (Vec::new(), VecDeque::new()),
         };
-        debug_assert!(
-            self.cfg.granularity != Granularity::Kernel || {
-                let roots: Vec<u64> = self.models[model_idx]
-                    .dag
-                    .roots()
-                    .map(|t| t as u64)
-                    .collect();
-                roots == initially_active
-            },
-            "KernelDag roots diverge from the waitlist's initial active set"
-        );
-
-        let op_count = ops.len();
+        let kernel_count = rm.kernel_descs.len();
+        let total_estimate = rm.profile.total_estimate();
         let job = Job {
             request: req,
-            waitlist,
-            ops,
-            op_vstreams,
-            active_undispatched: initially_active.into_iter().collect(),
+            active_undispatched,
             outstanding: 0,
             completed: 0,
             done_counts: vec![0; kernel_count],
             streams: Vec::new(),
-            vstreams,
             total_estimate,
             almost_finished_at: None,
             ingested_at: t_ingested,
             last_dispatched: false,
             framework: self.cfg.ingest_cost,
-            released_ops: ReleasedSet::with_capacity(op_count),
+            released_ops: ReleasedSet::with_capacity(rm.dag.len()),
             preds_left,
+            inflight_kernels: Vec::new(),
+            inflight_memcpys: Vec::new(),
+            fault_attempts: Vec::new(),
             deadline_at: None,
             backoff_ns: 0,
             dep_since: None,
@@ -1152,13 +1074,35 @@ impl Dispatcher {
         }
     }
 
+    /// How many real streams a job of `model_idx` needs: one per distinct
+    /// vstream in kernel granularity, one in job granularity.
+    fn stream_slots(&self, model_idx: usize) -> usize {
+        match self.cfg.granularity {
+            Granularity::Kernel => self.models[model_idx].vstreams.len().max(1),
+            Granularity::Job => 1,
+        }
+    }
+
+    /// The real stream backing op `token` of `j`.
+    fn real_stream(&self, j: &Job, token: u64) -> StreamId {
+        match self.cfg.granularity {
+            Granularity::Kernel => {
+                let m = &self.models[j.request.model.0 as usize];
+                let vs = m.dag.node(token as usize).vstream;
+                // invariant: `vstreams` is the sorted dedup of this DAG's
+                // node vstreams, built at register_model.
+                let idx = m.vstreams.binary_search(&vs).expect("vstream registered");
+                j.streams[idx]
+            }
+            Granularity::Job => j.streams[0],
+        }
+    }
+
     fn assign_stream(&mut self, id: JobId) {
         let want = self
             .jobs
             .get(&id)
-            .map(|j| j.vstreams.len())
-            .unwrap_or(1)
-            .max(1);
+            .map_or(1, |j| self.stream_slots(j.request.model.0 as usize));
         let streams: Vec<StreamId> = match self.cfg.streams {
             // A single shared stream backs every virtual stream (correct but
             // serialized — deps still hold because dispatch order respects
@@ -1193,17 +1137,14 @@ impl Dispatcher {
 
     /// Job-granularity: push the entire op sequence to the device at once.
     fn dispatch_whole_job(&mut self, id: JobId, ready: SimTime) {
-        let tokens: Vec<u64> = (0..self.jobs[&id].ops.len() as u64).collect();
-        for token in tokens {
+        for token in 0..self.job_dag(id).len() as u64 {
             // In job mode every op is "released" logically; stream ordering
             // on the device enforces execution order.
             self.dispatch_op(id, token, ready, true);
         }
         // invariant: callers pass an id freshly inserted into self.jobs, and
         // dispatch_op never removes the job.
-        let j = self.jobs.get_mut(&id).expect("job exists");
-        j.active_undispatched.clear();
-        j.last_dispatched = true;
+        self.jobs.get_mut(&id).expect("job exists").last_dispatched = true;
     }
 
     /// Dispatches any active non-kernel ops (memcpys run on copy engines and
@@ -1215,9 +1156,13 @@ impl Dispatcher {
                 return; // waiting for pool streams
             }
             let Some(token) = j.next_active() else { return };
-            match j.ops[token as usize] {
-                OpKind::Kernel(_) => return,
-                OpKind::H2D(_) | OpKind::D2H(_) => {
+            match self.models[j.request.model.0 as usize]
+                .dag
+                .node(token as usize)
+                .resources
+            {
+                DagResources::Kernel { .. } => return,
+                DagResources::H2D(_) | DagResources::D2H(_) => {
                     // invariant: the get() at loop top just returned Some for
                     // this id.
                     let j = self.jobs.get_mut(&id).expect("job exists");
@@ -1240,21 +1185,22 @@ impl Dispatcher {
         let (kind, stream, client) = {
             let j = &self.jobs[&id];
             assert!(j.has_streams(), "dispatch without streams");
+            let dag = &self.models[j.request.model.0 as usize].dag;
             (
-                j.ops[token as usize],
-                j.real_stream(token),
+                dag.node(token as usize).resources,
+                self.real_stream(j, token),
                 j.request.client,
             )
         };
         match kind {
-            OpKind::H2D(bytes) | OpKind::D2H(bytes) => {
-                let dir = if matches!(kind, OpKind::H2D(_)) {
+            DagResources::H2D(bytes) | DagResources::D2H(bytes) => {
+                let dir = if matches!(kind, DagResources::H2D(_)) {
                     CopyDir::HostToDevice
                 } else {
                     CopyDir::DeviceToHost
                 };
                 // Almost-finished: fired before the final D2H (§4.2).
-                if matches!(kind, OpKind::D2H(_)) && self.is_last_op(id, token) {
+                if matches!(kind, DagResources::D2H(_)) && self.is_last_op(id, token) {
                     self.fire_almost_finished(id, ready);
                 }
                 let done = self.charge_cpu(client, ready, self.channels.cuda.memcpy_overhead);
@@ -1276,12 +1222,14 @@ impl Dispatcher {
                 let j = self.jobs.get_mut(&id).expect("job exists");
                 j.outstanding += 1;
                 j.framework += self.channels.cuda.memcpy_overhead;
+                j.inflight_memcpys.push(uid);
                 if self.is_last_op(id, token) {
-                    // invariant: same job as two lines up.
+                    // invariant: same job as three lines up.
                     self.jobs.get_mut(&id).expect("job").last_dispatched = true;
                 }
             }
-            OpKind::Kernel(loc) => {
+            DagResources::Kernel { loc, .. } => {
+                let loc = loc as usize;
                 let cost = if whole_job {
                     self.channels.cuda.launch_overhead
                 } else {
@@ -1338,15 +1286,15 @@ impl Dispatcher {
                 j.outstanding += 1;
                 j.done_counts[loc] += 1;
                 j.framework += cost;
+                j.inflight_kernels.push(uid);
                 if last {
                     j.last_dispatched = true;
-                    // Pinned-output jobs (last op is a kernel) fire the
-                    // almost-finished wakeup when that kernel *starts*
-                    // (placement notification) — see `handle_gpu_output`.
-                    // Without instrumentation there is no placement signal,
-                    // so fall back to firing at launch.
-                    let pinned = !matches!(j.ops.last(), Some(OpKind::D2H(_)));
-                    if pinned && !self.cfg.instrument {
+                    // The last op is this kernel, so the output is pinned:
+                    // the almost-finished wakeup fires when the kernel
+                    // *starts* (placement notification) — see
+                    // `handle_notif_run`. Without instrumentation there is
+                    // no placement signal, so fall back to firing at launch.
+                    if !self.cfg.instrument {
                         self.fire_almost_finished(id, done);
                     }
                 }
@@ -1355,7 +1303,12 @@ impl Dispatcher {
     }
 
     fn is_last_op(&self, id: JobId, token: u64) -> bool {
-        token as usize + 1 == self.jobs[&id].ops.len()
+        token as usize + 1 == self.job_dag(id).len()
+    }
+
+    /// The registered model's DAG for job `id`.
+    fn job_dag(&self, id: JobId) -> &KernelDag {
+        &self.models[self.jobs[&id].request.model.0 as usize].dag
     }
 
     fn fire_almost_finished(&mut self, id: JobId, at: SimTime) {
@@ -1385,19 +1338,17 @@ impl Dispatcher {
         while let Some((job, rationale)) = self.scheduler.pick_next_explained() {
             spin_guard += 1;
             debug_assert!(spin_guard < 10_000_000, "try_dispatch spinning on {job:?}");
-            let Some(token) = self.jobs.get(&job).and_then(|j| j.next_active()) else {
+            let Some(j) = self.jobs.get(&job).filter(|j| j.next_active().is_some()) else {
                 // Stale readiness; clear and retry.
                 self.scheduler.job_blocked(job);
                 continue;
             };
-            let loc = match self.jobs[&job].ops[token as usize] {
-                OpKind::Kernel(loc) => loc,
-                _ => {
-                    // Non-kernel ops auto-dispatch.
-                    self.dispatch_auto_ops(job, self.now);
-                    self.update_readiness(job);
-                    continue;
-                }
+            let Some((token, loc)) = j.front_kernel(&self.models[j.request.model.0 as usize].dag)
+            else {
+                // Non-kernel ops auto-dispatch.
+                self.dispatch_auto_ops(job, self.now);
+                self.update_readiness(job);
+                continue;
             };
             if !self.jobs[&job].has_streams() {
                 // Waiting for pool streams; skip until they free.
@@ -1553,19 +1504,9 @@ impl Dispatcher {
             // before consulting the occupancy gate.
             self.dispatch_auto_ops(id, self.now);
             let Some(j) = self.jobs.get(&id) else { return };
-            let ready = j.is_ready()
-                && matches!(
-                    j.next_active().map(|t| j.ops[t as usize]),
-                    Some(OpKind::Kernel(_))
-                );
-            if !ready {
+            let Some((token, loc)) = j.front_kernel(&self.models[j.request.model.0 as usize].dag)
+            else {
                 return;
-            }
-            // invariant: `ready` above proved the front op exists and is a
-            // kernel.
-            let token = j.next_active().expect("ready job has an active op");
-            let OpKind::Kernel(loc) = j.ops[token as usize] else {
-                unreachable!("ready predicate admits only kernel fronts")
             };
             if !j.has_streams() {
                 self.tracer
@@ -1613,8 +1554,8 @@ impl Dispatcher {
                 }
             }
             {
-                // invariant: the ready predicate above proved the job is
-                // present with a non-empty active queue.
+                // invariant: front_kernel above proved the job is present
+                // with a non-empty active queue.
                 let j = self.jobs.get_mut(&id).expect("job exists");
                 j.active_undispatched.pop_front();
             }
@@ -1636,11 +1577,9 @@ impl Dispatcher {
             self.scheduler.job_blocked(id);
             return;
         };
-        let ready = j.is_ready()
-            && matches!(
-                j.next_active().map(|t| j.ops[t as usize]),
-                Some(OpKind::Kernel(_))
-            );
+        let ready = j
+            .front_kernel(&self.models[j.request.model.0 as usize].dag)
+            .is_some();
         if ready {
             if let Some(s) = j.dep_since.take() {
                 j.dep_wait_ns += self.now.saturating_since(s).as_nanos();
@@ -1712,6 +1651,9 @@ impl Dispatcher {
                 GpuOutput::KernelCompleted { uid, at } => self.on_kernel_completed(uid, at),
                 GpuOutput::MemcpyCompleted { uid, at } => {
                     if let Some((job, token)) = self.memcpy_to_job.remove(&uid) {
+                        if let Some(j) = self.jobs.get_mut(&job) {
+                            remove_uid(&mut j.inflight_memcpys, uid);
+                        }
                         self.complete_op(job, token, at);
                     }
                 }
@@ -1856,6 +1798,9 @@ impl Dispatcher {
             self.occupancy.on_kernel_completed(uid);
         }
         if let Some((job, token)) = self.kernel_to_job.remove(&uid) {
+            if let Some(j) = self.jobs.get_mut(&job) {
+                remove_uid(&mut j.inflight_kernels, uid);
+            }
             // Injected kernel fault (DESIGN §11): the execution's results are
             // discarded and the op is retried with backoff. Rolled per
             // completion in DES order, so same seed ⇒ identical fault sets.
@@ -1867,9 +1812,11 @@ impl Dispatcher {
             }
             // Online profile refinement from the observed span.
             if let Some(started) = self.kernel_started.remove(&uid) {
-                let j = &self.jobs[&job];
-                if let OpKind::Kernel(loc) = j.ops[token as usize] {
-                    let model = j.request.model.0 as usize;
+                let model = self.jobs[&job].request.model.0 as usize;
+                if let DagResources::Kernel { loc, .. } =
+                    self.models[model].dag.node(token as usize).resources
+                {
+                    let loc = loc as usize;
                     let old_us = self.models[model].profile.kernels[loc].time_us.mean();
                     self.models[model]
                         .profile
@@ -1888,65 +1835,35 @@ impl Dispatcher {
         let Some(j) = self.jobs.get(&id) else {
             return SimDuration::ZERO;
         };
-        let OpKind::Kernel(loc) = j.ops[token as usize] else {
+        let m = &self.models[j.request.model.0 as usize];
+        let DagResources::Kernel { loc, .. } = m.dag.node(token as usize).resources else {
             return SimDuration::ZERO;
         };
-        let profile = &self.models[j.request.model.0 as usize].profile;
-        SimDuration::from_micros_f64(profile.kernels[loc].time_us.mean())
+        SimDuration::from_micros_f64(m.profile.kernels[loc as usize].time_us.mean())
     }
 
-    /// The release bookkeeping shared by every path: marks `token` released,
-    /// maintains the job's DAG predecessor counts, and appends the
-    /// newly-activated tokens to its dispatch queue. Returns whether the op
-    /// was actually released (`false` = already released, idempotent no-op).
-    ///
-    /// On the event-triggered fast path the activations come from the
-    /// model's [`KernelDag`] successor walk — no waitlist active-set
-    /// re-scans. On the arbitrated path the waitlist diff stays
-    /// authoritative, and debug builds assert the DAG derivation matches it
-    /// exactly — every debug test run cross-validates the fast path's
-    /// activation rule against the waitlist's from-scratch semantics.
+    /// The release bookkeeping shared by every path: marks `token` released
+    /// and, in kernel granularity, decrements its successors' predecessor
+    /// counts over the model's [`KernelDag`], appending the ops that reach
+    /// zero (in vstream order) to the job's dispatch queue. Returns whether
+    /// the op was actually released (`false` = already released, an
+    /// idempotent no-op). The fast path differs only in its `DagRelease`
+    /// trace event and counter.
     fn apply_release(&mut self, id: JobId, token: u64) -> bool {
-        let fast = self.fast_job == Some(id);
         let Some(j) = self.jobs.get_mut(&id) else {
             return false;
         };
-        if j.released(token) {
+        if !j.released_ops.insert(token) {
             return false;
         }
-        let vs = j.vstream(token);
-        let mut dag_newly: Vec<u64> = Vec::new();
         if !j.preds_left.is_empty() {
             let dag = &self.models[j.request.model.0 as usize].dag;
-            for &s in dag.successors(token as usize) {
-                let left = &mut j.preds_left[s as usize];
-                debug_assert!(*left > 0, "KernelDag predecessor count underflow");
-                *left -= 1;
-                if *left == 0 {
-                    dag_newly.push(u64::from(s));
-                }
-            }
-            // The waitlist reports newly-active ops in stream-id order (at
-            // most one activation per stream per release); match it.
-            dag_newly.sort_unstable_by_key(|&t| j.op_vstreams[t as usize]);
+            dag.release(&mut j.preds_left, token as usize, &mut self.activated);
         }
-        let newly = if fast {
-            j.waitlist.release_quiet(vs, token);
-            dag_newly
-        } else {
-            let newly = j.waitlist.release(vs, token);
-            debug_assert!(
-                j.preds_left.is_empty() || newly == dag_newly,
-                "DAG-derived activations {dag_newly:?} diverge from waitlist {newly:?}"
-            );
-            newly
-        };
-        j.mark_released(token);
-        let activated = newly.len() as u32;
-        for t in newly {
-            j.active_undispatched.push_back(t);
-        }
-        if fast {
+        let activated = self.activated.len() as u32;
+        j.active_undispatched
+            .extend(self.activated.drain(..).map(u64::from));
+        if self.fast_job == Some(id) {
             self.tracer
                 .record_with(self.now, || TraceEvent::DagRelease {
                     job: id.0,
@@ -1960,7 +1877,7 @@ impl Dispatcher {
         true
     }
 
-    /// Marks an op released in the waitlist (idempotent per op).
+    /// Releases an op and dispatches what it activates (idempotent per op).
     fn release_op(&mut self, id: JobId, token: u64) {
         if !self.apply_release(id, token) {
             return;
@@ -1977,8 +1894,6 @@ impl Dispatcher {
             let Some(j) = self.jobs.get_mut(&id) else {
                 return;
             };
-            let vs = j.vstream(token);
-            j.waitlist.retire(vs, token);
             debug_assert!(
                 j.outstanding >= 1,
                 "job outstanding underflow: completion without a dispatch"
@@ -1990,7 +1905,7 @@ impl Dispatcher {
             self.dispatch_auto_ops(id, self.now);
             self.update_readiness(id);
         }
-        if self.jobs[&id].done() {
+        if self.jobs[&id].completed == self.job_dag(id).len() {
             self.finish_job(id, at);
         }
     }
@@ -2148,7 +2063,7 @@ impl Dispatcher {
                     self.stream_waiters.pop_front();
                     continue;
                 };
-                let want = w.vstreams.len().max(1);
+                let want = self.stream_slots(w.request.model.0 as usize);
                 if self.free_streams.len() < want {
                     break;
                 }
@@ -2172,10 +2087,18 @@ impl Dispatcher {
     /// A dispatched kernel's execution faulted: schedule a backoff retry, or
     /// give the whole job up once the retry budget is spent.
     fn on_kernel_fault(&mut self, id: JobId, token: u64, uid: KernelUid, at: SimTime) {
-        let attempt = {
-            let e = self.kernel_attempts.entry((id, token)).or_insert(0);
-            *e += 1;
-            *e
+        // invariant: the faulted kernel was still mapped to this job, and
+        // a job with an in-flight kernel is neither finished nor cancelled.
+        let j = self.jobs.get_mut(&id).expect("faulted kernel's job exists");
+        let attempt = match j.fault_attempts.iter_mut().find(|(t, _)| *t == token) {
+            Some((_, n)) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                j.fault_attempts.push((token, 1));
+                1
+            }
         };
         self.tracer.record_with(at, || TraceEvent::KernelFault {
             job: id.0,
@@ -2230,14 +2153,14 @@ impl Dispatcher {
         }
     }
 
-    /// Cancels one in-flight job and reclaims everything it holds: queued
-    /// waitlist ops, scheduler state, stream-pool slots, notifQ reservations,
+    /// Cancels one in-flight job and reclaims everything it holds: its
+    /// waitlist, scheduler state, stream-pool slots, notifQ reservations,
     /// and the occupancy mirror's accounting for its in-flight kernels. The
     /// device runs already-placed kernels to completion, but their outputs no
     /// longer map to a job, so late notifications and completions fall
     /// through the uid lookups harmlessly.
     fn cancel_job(&mut self, id: JobId, at: SimTime, reason: FailureReason) {
-        let Some(mut j) = self.jobs.remove(&id) else {
+        let Some(j) = self.jobs.remove(&id) else {
             return; // already finished or cancelled (e.g. a stale deadline)
         };
         if self.fast_job == Some(id) {
@@ -2260,16 +2183,9 @@ impl Dispatcher {
                 self.scheduler.client_idle(j.request.client);
             }
         }
-        // Reclaim in-flight kernels, in sorted uid order so cancellation is
-        // independent of HashMap iteration order.
-        let mut kuids: Vec<KernelUid> = self
-            .kernel_to_job
-            .iter()
-            .filter(|&(_, &(job, _))| job == id)
-            .map(|(&uid, _)| uid)
-            .collect();
-        kuids.sort_unstable();
-        for uid in kuids {
+        // Reclaim in-flight kernels in ascending uid order (the order they
+        // were dispatched in).
+        for &uid in &j.inflight_kernels {
             self.kernel_to_job.remove(&uid);
             self.kernel_started.remove(&uid);
             if let Some(rest) = self.notifq_reserved.remove(&uid) {
@@ -2283,10 +2199,9 @@ impl Dispatcher {
                 self.occupancy.on_kernel_completed(uid);
             }
         }
-        self.memcpy_to_job.retain(|_, &mut (job, _)| job != id);
-        self.kernel_attempts.retain(|&(job, _), _| job != id);
-        // Drain queued ops so the waitlist leaves no orphaned dependents.
-        j.waitlist.drain();
+        for uid in &j.inflight_memcpys {
+            self.memcpy_to_job.remove(uid);
+        }
         self.return_streams(&j, at);
         let reason_str = reason.as_str();
         self.tracer.record_with(at, || TraceEvent::JobCancelled {
@@ -2353,16 +2268,6 @@ impl Dispatcher {
     }
 }
 
-impl Job {
-    fn released(&self, token: u64) -> bool {
-        self.released_ops.contains(token)
-    }
-
-    fn mark_released(&mut self, token: u64) {
-        self.released_ops.insert(token);
-    }
-}
-
 /// Dense released-token set: one bit per op, indexed by the compact token.
 /// This is the per-job structure behind release idempotency — it replaced a
 /// `HashSet<u64>` on the per-kernel release path, so a property test pins
@@ -2408,5 +2313,12 @@ impl ReleasedSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
+    }
+}
+
+/// Removes `uid` from a job's ascending in-flight list, keeping the order.
+fn remove_uid<T: PartialEq>(list: &mut Vec<T>, uid: T) {
+    if let Some(i) = list.iter().position(|u| *u == uid) {
+        list.remove(i);
     }
 }

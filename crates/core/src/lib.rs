@@ -5,15 +5,16 @@
 //! The paper's primary contribution: a model-serving dispatcher that lifts
 //! GPU scheduling out of the hardware and into software.
 //!
-//! * [`waitlist`] — per-job kernel waitlists reproducing CUDA stream
-//!   semantics (Fig. 7), with pipelined release on full placement.
 //! * [`occupancy`] — the software mirror of per-SM resource usage (Table 1),
 //!   fed by instrumented-kernel notifications.
 //! * [`sched`] — the scheduling policies of Table 3: FIFO, SJF, round-robin,
 //!   and the default SRPT + deficit-counter fairness algorithm (§6).
 //! * [`dispatcher`] — the single-core serving loop tying everything
-//!   together: ingest from shared-memory rings, dispatch under the occupancy
-//!   budget, hybrid interrupt-then-poll result delivery (§5).
+//!   together: ingest from shared-memory rings, per-job waitlists (Fig. 7)
+//!   as predecessor counts over each model's pre-validated
+//!   [`KernelDag`](paella_compiler::KernelDag) with pipelined release on
+//!   full placement, dispatch under the occupancy budget, hybrid
+//!   interrupt-then-poll result delivery (§5).
 //! * [`types`] — requests, completions, and the Fig. 10 latency-breakdown
 //!   categories.
 
@@ -25,7 +26,6 @@ pub mod remote;
 pub mod sched;
 pub mod serve;
 pub mod types;
-pub mod waitlist;
 
 pub use batching::{BatchPolicy, SaturationBatcher};
 pub use dispatcher::{
@@ -42,4 +42,3 @@ pub use types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
     ModelId,
 };
-pub use waitlist::{OpToken, StreamKind, VStream, Waitlist, WaitlistError};

@@ -513,7 +513,7 @@ fn srpt_prefers_partially_completed_jobs() {
 #[test]
 fn copy_only_job_completes() {
     // Degenerate adaptor: set_input + get_output with no kernels (e.g. an
-    // identity model). The waitlist and completion paths must still work.
+    // identity model). The release and completion paths must still work.
     use paella_compiler::{CompiledModel, DeviceOp};
     let model = CompiledModel {
         name: "identity".to_string().into(),
@@ -543,6 +543,46 @@ fn copy_only_job_completes() {
         done[0].jct()
     );
     assert!(done[0].almost_finished_at.is_some());
+}
+
+#[test]
+fn register_model_rejects_unschedulable_stream_plans() {
+    // Two bad plans over two kernels on one stream: a forward dep that
+    // closes a wait cycle with the in-stream edge, and a dep naming an op
+    // the model does not have. Either would wedge every job at ingest.
+    use paella_compiler::{CompiledModel, DeviceOp, JobSchedule};
+    use paella_gpu::KernelDesc;
+    for (case, deps) in [
+        ("cycle", vec![vec![1], vec![]]),
+        ("out-of-range dep", vec![vec![], vec![7]]),
+    ] {
+        let model = CompiledModel {
+            name: case.to_string().into(),
+            ops: vec![
+                DeviceOp::Kernel(KernelDesc::empty("a", 1)),
+                DeviceOp::Kernel(KernelDesc::empty("b", 1)),
+            ],
+            schedule: Some(JobSchedule {
+                streams: vec![1, 1],
+                deps,
+            }),
+            input_bytes: 0,
+            output_bytes: 0,
+            weight_bytes: 0,
+            flops: 0,
+        };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            paella(DeviceConfig::tesla_t4()).register_model(&model)
+        }))
+        .expect_err(case);
+        let msg = err
+            .downcast_ref::<String>()
+            .map_or("non-string panic payload", String::as_str);
+        assert!(
+            msg.contains("unschedulable stream plan"),
+            "{case}: panicked with {msg:?}"
+        );
+    }
 }
 
 // -- failure handling (DESIGN §11) ------------------------------------------

@@ -1,73 +1,17 @@
-//! Property-based tests for the waitlist, occupancy tracker, and schedulers.
+//! Property-based tests for the occupancy tracker and schedulers.
 
 use proptest::prelude::*;
 
 use paella_channels::Notification;
 use paella_core::{
     ClientId, FifoScheduler, JobId, JobInfo, OccupancyTracker, RrScheduler, Scheduler,
-    SjfScheduler, SrptDeficitScheduler, VStream, Waitlist,
+    SjfScheduler, SrptDeficitScheduler,
 };
 use paella_gpu::{BlockFootprint, SmLimits};
 use paella_sim::{SimDuration, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// For any set of single-stream jobs, the waitlist activates ops in
-    /// strict issue order, one at a time.
-    #[test]
-    fn waitlist_single_stream_strict_order(n in 1usize..50) {
-        let mut w = Waitlist::new();
-        let s = VStream(1);
-        for t in 0..n as u64 {
-            let active = w.push(s, t).unwrap();
-            prop_assert_eq!(active, t == 0, "only the first op starts active");
-        }
-        for t in 0..n as u64 {
-            prop_assert_eq!(w.active(), vec![t]);
-            let newly = w.complete(s, t);
-            if t + 1 < n as u64 {
-                prop_assert_eq!(newly, vec![t + 1]);
-            } else {
-                prop_assert!(newly.is_empty());
-            }
-        }
-        prop_assert!(w.is_empty());
-    }
-
-    /// Across many blocking streams, at most one op per stream is active,
-    /// and every op eventually activates exactly once.
-    #[test]
-    fn waitlist_multi_stream_liveness(
-        ops in proptest::collection::vec(0u32..6, 1..80),
-    ) {
-        let mut w = Waitlist::new();
-        let mut pushed: Vec<(VStream, u64)> = Vec::new();
-        for (i, &s) in ops.iter().enumerate() {
-            // Avoid stream 0 (default-stream serialization is tested
-            // separately); streams 1..=6.
-            let vs = VStream(s + 1);
-            w.push(vs, i as u64).unwrap();
-            pushed.push((vs, i as u64));
-        }
-        // At most one active per stream.
-        let active = w.active();
-        let mut streams_seen = std::collections::HashSet::new();
-        for &t in &active {
-            let (vs, _) = pushed[t as usize];
-            prop_assert!(streams_seen.insert(vs), "two active ops on one stream");
-        }
-        // Drain: repeatedly complete the first active op.
-        let mut completed = 0;
-        while !w.is_empty() {
-            let t = w.active()[0];
-            let (vs, _) = pushed[t as usize];
-            w.complete(vs, t);
-            completed += 1;
-            prop_assert!(completed <= ops.len(), "livelock");
-        }
-        prop_assert_eq!(completed, ops.len());
-    }
 
     /// The occupancy tracker conserves blocks for arbitrary interleavings of
     /// kernels and per-SM placements.

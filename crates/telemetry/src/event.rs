@@ -377,8 +377,7 @@ pub enum TraceEvent {
     },
     /// An event-triggered DAG release: a completed op's successors were
     /// activated directly off the GPU completion notification, with no
-    /// waitlist re-scan and no scheduler invocation (SET-style whole-DAG
-    /// submission; DESIGN §15).
+    /// scheduler invocation (SET-style whole-DAG submission; DESIGN §15).
     DagRelease {
         /// Owning job.
         job: u64,
